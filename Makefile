@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-conv fuzz-daemon ci
 
 all: build
 
@@ -26,8 +26,8 @@ race-decode:
 	$(GO) test -race -count=1 ./internal/bgzf ./internal/bam ./internal/bamx ./internal/sorter
 
 # Focused race run over the parallel convert/write path (byte-slice
-# parsing, the batched line pipeline, the shared deflate pool and the
-# parpipe pool plumbing under it).
+# parsing, the SAM text engine with its inline and parallel drains, the
+# shared deflate pool and the parpipe pool plumbing under it).
 race-convert:
 	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/formats ./internal/bgzf ./internal/parpipe
 
@@ -96,6 +96,13 @@ fuzz-index:
 # byte-for-byte and survive the bounds check without panicking.
 fuzz-pamx:
 	$(GO) test -run '^$$' -fuzz 'FuzzPAMXFooter' -fuzztime 10s ./internal/formats/pamx
+
+# Short fuzz pass over the SAM text engine: arbitrary alignment bytes
+# through ConvertSAM and SAM→BAMX preprocessing must never panic, and
+# the inline single-worker drain and the parallel stage must leave the
+# same bytes or fail with the same first error.
+fuzz-conv:
+	$(GO) test -run '^$$' -fuzz 'FuzzSAMConvertParity' -fuzztime 10s ./internal/conv
 
 # Short fuzz pass over the daemon's job-spec decoder: arbitrary
 # submission bodies must yield a structured error or a spec that

@@ -38,7 +38,7 @@ func main() {
 		tmp        = flag.String("tmpdir", "", "scratch directory (default: a fresh temp dir)")
 		keep       = flag.Bool("keep", false, "keep scratch files")
 		codec      = flag.Int("codec-workers", 0, "BGZF codec goroutines for BAM/BAMZ steps (0: auto, one per CPU capped; 1: sequential codec)")
-		parse      = flag.Int("parse-workers", 0, "per-rank SAM parse/encode goroutines for the measured text conversions (0: auto; 1: sequential)")
+		parse      = flag.Int("parse-workers", 0, "per-rank SAM parse/encode goroutines for the measured text conversions (0: auto; 1: one worker, drained inline)")
 		daemonURL  = flag.String("daemon", "", "submit a job to a seqconvd at this base URL instead of running experiments")
 		daemonSpec = flag.String("daemon-spec", "", "job spec JSON for -daemon")
 		daemonIn   = flag.String("daemon-in", "", "input file streamed with the -daemon submission (otherwise the spec's input_path is used)")

@@ -43,7 +43,7 @@ func main() {
 		preCores  = flag.Int("pre-p", 0, "preprocessing ranks for the psam converter (default: -p)")
 		baix      = flag.String("baix", "", "BAIX index path (default: input with .baix)")
 		codecWork = flag.Int("codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped; 1: sequential codec)")
-		parseWork = flag.Int("parse-workers", 0, "per-rank parse/encode goroutines for SAM text input (0: auto; 1: sequential line loop)")
+		parseWork = flag.Int("parse-workers", 0, "per-rank parse/encode goroutines for SAM text input (0: auto; 1: one worker, drained inline)")
 		obsFlags  = obsflag.Register(nil)
 		mpiFlags  = mpiflag.Register(nil)
 	)

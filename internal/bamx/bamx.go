@@ -155,16 +155,22 @@ func unpadRecord(dst, rec []byte, caps Caps) ([]byte, error) {
 
 // Writer emits a BAMX file. The caps must be known up front — that is
 // the price of the fixed layout, and why the paper's preprocessors are
-// two-pass.
+// two-pass. Records are padded straight into a write buffer that goes
+// out in ~1 MiB writes; Flush must follow the last record.
 type Writer struct {
 	w      io.Writer
 	header *sam.Header
 	caps   Caps
-	rec    []byte // stride-sized scratch
+	stride int
+	buf    []byte // padded records not yet written
 	body   []byte // BAM-encoding scratch
 	count  int64
 	err    error
 }
+
+// writeBufSize is the Writer's buffer target; a stride wider than it
+// still gets room for one record.
+const writeBufSize = 1 << 20
 
 // NewWriter writes the BAMX header and returns a record writer.
 func NewWriter(w io.Writer, h *sam.Header, caps Caps) (*Writer, error) {
@@ -175,11 +181,13 @@ func NewWriter(w io.Writer, h *sam.Header, caps Caps) (*Writer, error) {
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
+	stride := caps.Stride()
 	return &Writer{
 		w:      w,
 		header: h,
 		caps:   caps,
-		rec:    make([]byte, caps.Stride()),
+		stride: stride,
+		buf:    make([]byte, 0, max(writeBufSize, stride)),
 	}, nil
 }
 
@@ -223,15 +231,35 @@ func (w *Writer) WriteEncoded(body []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := padRecord(w.rec, body, w.caps); err != nil {
-		w.err = err
-		return err
+	n := len(w.buf)
+	if n+w.stride > cap(w.buf) {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		n = 0
 	}
-	if _, err := w.w.Write(w.rec); err != nil {
+	w.buf = w.buf[:n+w.stride]
+	if err := padRecord(w.buf[n:], body, w.caps); err != nil {
+		w.buf = w.buf[:n]
 		w.err = err
 		return err
 	}
 	w.count++
+	return nil
+}
+
+// Flush writes the buffered records through to the underlying writer.
+func (w *Writer) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(w.buf) > 0 {
+		if _, err := w.w.Write(w.buf); err != nil {
+			w.err = err
+			return err
+		}
+		w.buf = w.buf[:0]
+	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 )
 
@@ -130,9 +131,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ReadIndex parses a BAIX file.
+// ReadIndex parses a BAIX file. A reader that can Stat itself (an
+// *os.File) is read in one exact-size read; any other is read to EOF.
 func ReadIndex(r io.Reader) (*Index, error) {
-	data, err := io.ReadAll(r)
+	data, err := readIndexBytes(r)
 	if err != nil {
 		return nil, err
 	}
@@ -164,4 +166,28 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		}
 	}
 	return &Index{entries: entries}, nil
+}
+
+// readIndexBytes reads a whole BAIX file. Region queries reopen the
+// index on every call, so a file is read into one buffer sized from
+// Stat rather than through io.ReadAll's doubling growth; a file read
+// from a non-zero offset comes back short, as io.ReadAll would.
+func readIndexBytes(r io.Reader) ([]byte, error) {
+	st, ok := r.(interface{ Stat() (fs.FileInfo, error) })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	fi, err := st.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !fi.Mode().IsRegular() {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(r, data)
+	if err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return data[:n], err
 }

@@ -2,6 +2,7 @@ package bamx
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 
 	"parseq/internal/bam"
@@ -97,41 +98,77 @@ func PreprocessBAMWorkers(rs io.ReadSeeker, w io.Writer, codecWorkers int) (*Ind
 			entries = append(entries, Entry{RefID: refID, Pos: pos, Index: idx})
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
 	return NewIndex(entries), nil
 }
 
 // BuildFromRecords writes a BAMX file plus BAIX index for in-memory
-// records — the building block of the preprocessing-optimized SAM
-// converter, where each rank turns its text partition into one BAMX file.
-// The two passes of PreprocessBAM become one measurement sweep over the
-// encoded bodies and one padded write.
+// records: it encodes them into one arena and hands that to Build.
 func BuildFromRecords(w io.Writer, h *sam.Header, recs []sam.Record) (*Index, error) {
-	caps := Caps{QName: 2, Seq: 1}
-	bodies := make([][]byte, 0, len(recs))
+	var arena []byte
 	for i := range recs {
-		body, err := bam.EncodeRecord(nil, &recs[i], h)
+		var err error
+		if arena, err = bam.EncodeRecord(arena, &recs[i], h); err != nil {
+			return nil, err
+		}
+	}
+	return Build(w, h, arena)
+}
+
+// Build writes a BAMX file plus BAIX index for an arena of BAM records,
+// each with its block_size prefix, as bam.EncodeRecord appends them —
+// the building block of the preprocessing-optimized SAM converter,
+// where each rank turns its text partition into one such arena. The
+// two passes of PreprocessBAM become one sweep over the arena that
+// measures the caps and collects the index entries (reference and
+// position read from each body, as PreprocessBAM does), and one padded
+// write.
+func Build(w io.Writer, h *sam.Header, arena []byte) (*Index, error) {
+	caps := Caps{QName: 2, Seq: 1}
+	var entries []Entry
+	var n int64
+	for rest := arena; len(rest) > 0; n++ {
+		body, tail, err := nextBody(rest)
 		if err != nil {
 			return nil, err
 		}
-		body = body[4:] // drop the block_size prefix
+		rest = tail
 		caps.Observe(body)
-		bodies = append(bodies, body)
+		refID := int32(binary.LittleEndian.Uint32(body[0:]))
+		pos := int32(binary.LittleEndian.Uint32(body[4:])) + 1
+		if refID >= 0 {
+			entries = append(entries, Entry{RefID: refID, Pos: pos, Index: n})
+		}
 	}
 	bw, err := NewWriter(w, h, caps)
 	if err != nil {
 		return nil, err
 	}
-	var entries []Entry
-	for i, body := range bodies {
-		refID := h.RefID(recs[i].RName)
-		if refID >= 0 {
-			entries = append(entries, Entry{RefID: int32(refID), Pos: recs[i].Pos, Index: bw.Count()})
-		}
+	for rest := arena; len(rest) > 0; {
+		body, tail, _ := nextBody(rest) // framing checked by the first sweep
+		rest = tail
 		if err := bw.WriteEncoded(body); err != nil {
 			return nil, err
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
 	return NewIndex(entries), nil
+}
+
+// nextBody splits the first block_size-prefixed record off an arena.
+func nextBody(arena []byte) (body, rest []byte, err error) {
+	if len(arena) < 4 {
+		return nil, nil, fmt.Errorf("%w: truncated record size", ErrCorrupt)
+	}
+	size := int(binary.LittleEndian.Uint32(arena))
+	if size < 32 || size > len(arena)-4 {
+		return nil, nil, fmt.Errorf("%w: record size %d", ErrCorrupt, size)
+	}
+	return arena[4 : 4+size], arena[4+size:], nil
 }
 
 // BuildIndex scans an existing BAMX file and reconstructs its BAIX index,

@@ -136,17 +136,16 @@ type Options struct {
 	// ranks, CodecWorkers pipelines block compression/decompression
 	// under each stream.
 	CodecWorkers int
-	// ParseWorkers is the per-rank parse/encode worker count of the
-	// pipelined converter: each rank's partition is scanned into ~64 KiB
-	// batches of whole lines, ParseWorkers goroutines parse and encode
-	// the batches in place (zero per-line allocation), and a single
-	// writer drains them in input order — output bytes and error
-	// behaviour are identical to the sequential loop's. 0 (the default)
-	// selects the adaptive count, GOMAXPROCS/Cores clamped to [1, 8];
-	// 1 forces the line-at-a-time sequential loop (the paper-faithful
-	// baseline). With ParseWorkers > 1, user formats registered via
-	// formats.Register get one encoder instance per worker, so their
-	// Encode must not rely on cross-record state.
+	// ParseWorkers is the per-rank parse/encode worker count of the SAM
+	// text engine: each rank's partition is cut into ~256 KiB batches of
+	// whole lines, the batches are parsed and encoded in place (zero
+	// per-line allocation) and drained in input order — output bytes and
+	// error behaviour are the same at every worker count. 0 (the
+	// default) selects the adaptive count, GOMAXPROCS/Cores clamped to
+	// [1, 8]; 1 runs one worker, drained inline on the rank's own
+	// goroutine (the sequential baseline). With ParseWorkers > 1, user
+	// formats registered via formats.Register get one encoder instance
+	// per worker, so their Encode must not rely on cross-record state.
 	ParseWorkers int
 	// Launch runs the converter's rank function across the world. Nil
 	// (the default) selects mpi.Run — Cores goroutine ranks in this

@@ -1,20 +1,22 @@
-// Pipelined per-rank convert hot path. The sequential loop in
-// convertSAMRange handles one line at a time: scan, allocate a string,
-// parse, encode, write. This file replaces it (when ParseWorkers > 1)
-// with an order-preserving parpipe stage in the mould of
-// bam.ParallelScanner:
+// The per-rank engine of every SAM-text path (format conversion,
+// SAM→BAM shards, SAM→BAMX preprocessing). One rank's byte range is
+// cut into ~256 KiB batches of whole lines, each batch is parsed in
+// place (sam.ParseRecordIntoBytes — zero per-line allocation) and
+// encoded into a pooled output buffer, and the batches are drained in
+// input order into the rank's target:
 //
-//	scan goroutine:  cut the rank's byte range into ~64 KiB pooled
-//	                 chunks of whole lines (boundary lines stitched
-//	                 through a dedicated carry buffer),
-//	parse workers:   parse each chunk's lines in place
-//	                 (sam.ParseRecordIntoBytes — zero per-line
-//	                 allocation) and encode into pooled output buffers,
-//	writer (caller): drain batches in submission order and write them.
+//	cut:     subslices of the mmap'd partition, or pooled chunks read
+//	         from the file when mapping fails (boundary lines stitched
+//	         through a dedicated carry buffer),
+//	process: parse + encode one batch,
+//	drain:   write (or collect) each batch's output in input order.
 //
-// Because delivery is in submission order, the output bytes and the
-// first error surfaced are identical to the sequential loop's — the
-// byte-identity and error-parity tests pin both.
+// With ParseWorkers > 1 the cut runs on its own goroutine and process
+// fans out across an order-preserving parpipe stage in the mould of
+// bam.ParallelScanner; with one worker the caller cuts, processes and
+// drains each batch inline, with no goroutines at all. Either way the
+// output bytes and the first error surfaced are the same — delivery is
+// in input order, and each batch stops at its first bad line.
 
 package conv
 
@@ -29,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"parseq/internal/bam"
-	"parseq/internal/formats"
 	"parseq/internal/obs"
 	"parseq/internal/parpipe"
 	"parseq/internal/partition"
@@ -39,14 +40,14 @@ import (
 // maxSAMLineBytes caps one alignment line. The old converter silently
 // capped lines at bufio.Scanner's 4 MiB default and surfaced a bare
 // "token too long"; long-read SAM (ONT ultralong alignments carry
-// multi-megabyte SEQ/QUAL plus CIGAR) hit it in practice. Both the
-// sequential and pipelined paths now allow lines up to this limit and
-// report the offending line's file offset when it is exceeded. A var
-// so tests can exercise the limit without half-gigabyte fixtures.
+// multi-megabyte SEQ/QUAL plus CIGAR) hit it in practice. Lines up to
+// this limit are allowed and the offending line's file offset is
+// reported when it is exceeded. A var so tests can exercise the limit
+// without half-gigabyte fixtures.
 var maxSAMLineBytes = 512 << 20
 
-// errLineTooLong is the shared over-limit error; both converter paths
-// produce it with the same wording so error parity holds.
+// errLineTooLong is the over-limit error, raised by the cutter and the
+// per-line check alike.
 func errLineTooLong(fileOff int64) error {
 	return fmt.Errorf("conv: SAM line starting at file offset %d exceeds the %d byte line limit: %w",
 		fileOff, maxSAMLineBytes, bufio.ErrTooLong)
@@ -69,71 +70,73 @@ func adaptiveParseWorkers(cores int) int {
 	return w
 }
 
-// batchBytes is the target chunk size of the scan stage: large enough
-// to amortise per-batch channel traffic and goroutine handoffs over
-// thousands of records (on a loaded core each handoff costs a
-// scheduler pass), small enough that the in-flight window of batches
-// stays memory-friendly and a rank's section still splits into enough
-// batches to balance across the workers.
+// batchBytes is the target batch size: large enough to amortise
+// per-batch channel traffic and goroutine handoffs over thousands of
+// records (on a loaded core each handoff costs a scheduler pass), small
+// enough that the in-flight window of batches stays memory-friendly and
+// a rank's section still splits into enough batches to balance across
+// the workers.
 const batchBytes = 256 << 10
 
-// lineScanner wraps bufio.Scanner for the sequential loop with the
-// raised line limit and exact offset tracking, so the over-limit error
-// reports where the offending line starts instead of a bare
-// bufio.ErrTooLong (the silent 4 MiB cap this replaces).
-type lineScanner struct {
-	scan *bufio.Scanner
-	pos  int64 // bytes advanced past completed lines
-	base int64 // absolute file offset of the scanned section
-}
-
-func newLineScanner(r io.Reader, base int64) *lineScanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 256<<10), maxSAMLineBytes)
-	ls := &lineScanner{scan: s, base: base}
-	s.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		adv, tok, err := bufio.ScanLines(data, atEOF)
-		ls.pos += int64(adv)
-		return adv, tok, err
-	})
-	return ls
-}
-
-func (s *lineScanner) Scan() bool   { return s.scan.Scan() }
-func (s *lineScanner) Text() string { return s.scan.Text() }
-
-// Err is bufio.Scanner.Err with ErrTooLong wrapped: when the scanner
-// gives up, every completed line has been advanced past, so pos is the
-// section-relative offset of the line that exceeded the limit.
-func (s *lineScanner) Err() error {
-	err := s.scan.Err()
-	if err == bufio.ErrTooLong {
-		return errLineTooLong(s.base + s.pos)
-	}
-	return err
-}
-
-// lineBatch is the pipeline's unit of work: one pooled chunk of whole
-// input lines on the way in; encoded output bytes (or parsed records,
-// on the preprocessing path) plus tallies on the way out.
+// lineBatch is the engine's unit of work: one run of whole input lines
+// on the way in; encoded output bytes plus tallies on the way out.
 type lineBatch struct {
-	chunk   []byte       // whole input lines (pooled; nil on sentinel batches)
-	base    int64        // absolute file offset of chunk[0]
-	out     []byte       // encoded target bytes (pooled)
-	recs    []sam.Record // parsed records (preprocessing path only)
-	records int64        // records parsed
-	emitted int64        // records that produced output
-	err     error        // first parse/encode error, or terminal scan error
+	chunk   []byte // whole input lines (nil when err is a cut error)
+	base    int64  // absolute file offset of chunk[0]
+	out     []byte // encoded target bytes (pooled)
+	records int64  // records parsed
+	emitted int64  // records that produced output
+	err     error  // first parse/encode error, or the cut error
 }
 
-// batchScanner cuts a stream into pooled chunks of whole lines. The
-// partial line at a chunk's end is copied into a dedicated carry buffer
-// and prepended to the next chunk — copied, not aliased, so recycling a
-// chunk can never corrupt a boundary line in flight (the same stitching
-// discipline as bam.BodyScanner's carry).
+// batchSource cuts a rank's byte range into runs of whole lines. next
+// returns io.EOF once the range is exhausted; release hands a drained
+// chunk back.
+type batchSource interface {
+	next() (chunk []byte, base int64, err error)
+	release(chunk []byte)
+}
+
+// mappedCutter cuts a memory-mapped partition: batches are plain
+// subslices of the mapping ended at line boundaries — no reads, no
+// copies, nothing to release.
+type mappedCutter struct {
+	data []byte
+	off  int
+	base int64 // absolute file offset of data[0]
+}
+
+func (m *mappedCutter) next() ([]byte, int64, error) {
+	off := m.off
+	if off >= len(m.data) {
+		return nil, 0, io.EOF
+	}
+	end := off + batchBytes
+	if end >= len(m.data) {
+		end = len(m.data)
+	} else if i := bytes.LastIndexByte(m.data[off:end], '\n'); i >= 0 {
+		end = off + i + 1
+	} else if j := bytes.IndexByte(m.data[end:], '\n'); j >= 0 {
+		// One line longer than a batch: the batch becomes that whole
+		// line, and the per-line limit check enforces maxSAMLineBytes
+		// with the right offset.
+		end += j + 1
+	} else {
+		end = len(m.data)
+	}
+	m.off = end
+	return m.data[off:end], m.base + int64(off), nil
+}
+
+func (m *mappedCutter) release([]byte) {}
+
+// batchScanner is the streamed fallback: it reads pooled chunks of
+// whole lines. The partial line at a chunk's end is copied into a
+// dedicated carry buffer and prepended to the next chunk — copied, not
+// aliased, so recycling a chunk can never corrupt a boundary line in
+// flight (the same stitching discipline as bam.BodyScanner's carry).
 type batchScanner struct {
 	r     io.Reader
-	pool  *sync.Pool
 	carry []byte
 	off   int64 // absolute file offset of the next chunk's first byte
 	eof   bool
@@ -141,13 +144,12 @@ type batchScanner struct {
 
 // next returns the next chunk of whole lines and the absolute offset of
 // its first byte. The final chunk may lack a trailing newline, exactly
-// as bufio.ScanLines delivers a final unterminated line. After the
-// stream is exhausted it returns io.EOF.
+// as bufio.ScanLines delivers a final unterminated line.
 func (s *batchScanner) next() ([]byte, int64, error) {
 	if s.eof && len(s.carry) == 0 {
 		return nil, 0, io.EOF
 	}
-	chunk := s.pool.Get().([]byte)[:0]
+	chunk := chunkPool.Get().([]byte)[:0]
 	chunk = append(chunk, s.carry...)
 	s.carry = s.carry[:0]
 	for {
@@ -193,6 +195,14 @@ func (s *batchScanner) next() ([]byte, int64, error) {
 	}
 }
 
+// release returns a chunk to the pool. Chunks grown past batchBytes by
+// a long line stay out, keeping the shared population uniformly sized.
+func (s *batchScanner) release(chunk []byte) {
+	if cap(chunk) == batchBytes {
+		chunkPool.Put(chunk[:0])
+	}
+}
+
 // cutLine splits data at the first newline with bufio.ScanLines
 // semantics: the line excludes the newline and a trailing carriage
 // return; without a newline the remainder is the final line.
@@ -208,10 +218,10 @@ func cutLine(data []byte) (line, rest []byte) {
 	return line, rest
 }
 
-// The batch buffer pools are process-wide: every pipeline cuts chunks
-// of the same capacity, so ranks and successive conversions reuse one
-// warm buffer population instead of each run allocating (and the
-// runtime zeroing) a fresh in-flight window.
+// The batch buffer pools are process-wide: every engine cuts chunks of
+// the same capacity, so ranks and successive conversions reuse one warm
+// buffer population instead of each run allocating (and the runtime
+// zeroing) a fresh in-flight window.
 var (
 	chunkPool = sync.Pool{New: func() any { return make([]byte, 0, batchBytes) }}
 	// Output buffers start at the batch size: most targets emit at most
@@ -221,94 +231,106 @@ var (
 	batchPool = sync.Pool{New: func() any { return &lineBatch{} }}
 )
 
-// linePipeline bundles the scan goroutine and the parpipe worker stage
-// of one rank's pipelined conversion.
-type linePipeline struct {
-	pipe          *parpipe.Pipe[*lineBatch]
-	stop          atomic.Bool
-	recycleChunks bool
-}
+// mmapInput maps the input file; tests swap it for a failing stub to
+// drive the streamed-chunk fallback.
+var mmapInput = mmapFile
 
-// newLinePipeline starts the worker stage under the given parpipe
-// metric/span name ("conv.encode" for the converting paths,
-// "conv.parse" for the preprocessing path).
-func newLinePipeline(workers int, process func(*lineBatch), name string, recycleChunks bool) *linePipeline {
-	p := &linePipeline{recycleChunks: recycleChunks}
-	p.pipe = parpipe.NewObserved(workers, 4*workers, process, obs.Default(), name)
-	return p
-}
+// runSAMRange runs one rank's byte range of samPath through the engine:
+// process parses and encodes a batch, drain consumes the processed
+// batches in input order. With workers > 1 process runs on a parpipe
+// stage registered under name ("conv.encode", "conv.parse"); otherwise
+// everything runs inline on the caller. The run stops at the first
+// error in stream order — drain's own, or the batch's — after drain has
+// seen that batch's good prefix.
+func runSAMRange(samPath string, br partition.ByteRange, workers int, name string,
+	process func(*lineBatch), drain func(*lineBatch) error) error {
 
-// start launches the scan goroutine over r, whose first byte sits at
-// absolute file offset base. A scan error travels as the final batch's
-// err, so the drain side sees it after every complete batch — first
-// error in stream order, like the sequential loop.
-func (p *linePipeline) start(r io.Reader, base int64) {
-	sc := &batchScanner{r: r, pool: &chunkPool, off: base}
-	go func() {
-		defer p.pipe.Close()
-		for !p.stop.Load() {
-			chunk, off, err := sc.next()
-			if err == io.EOF {
-				return
-			}
-			b := batchPool.Get().(*lineBatch)
-			b.chunk, b.base = chunk, off
-			b.out = outPool.Get().([]byte)[:0]
-			if err != nil {
-				b.err = err
-				p.pipe.Submit(b)
-				return
-			}
-			p.pipe.Submit(b)
-		}
-	}()
-}
-
-// startMapped is start over a memory-mapped partition: batches are
-// plain subslices of the mapping cut at line boundaries — no reads, no
-// copies, no pooled chunks. The caller must keep the mapping alive
-// until the drain loop has consumed the pipe's output.
-func (p *linePipeline) startMapped(data []byte, base int64) {
-	p.recycleChunks = false // batches alias the mapping, not pool chunks
-	go func() {
-		defer p.pipe.Close()
-		off := 0
-		for off < len(data) && !p.stop.Load() {
-			end := off + batchBytes
-			if end >= len(data) {
-				end = len(data)
-			} else if i := bytes.LastIndexByte(data[off:end], '\n'); i >= 0 {
-				end = off + i + 1
-			} else if j := bytes.IndexByte(data[end:], '\n'); j >= 0 {
-				// One line longer than a batch: the batch becomes that
-				// whole line, and the worker's per-line limit check
-				// enforces maxSAMLineBytes with the right offset.
-				end += j + 1
-			} else {
-				end = len(data)
-			}
-			b := batchPool.Get().(*lineBatch)
-			b.chunk, b.base = data[off:end], base+int64(off)
-			b.out = outPool.Get().([]byte)[:0]
-			p.pipe.Submit(b)
-			off = end
-		}
-	}()
-}
-
-// recycle returns a drained batch's buffers to their pools. Chunks are
-// held back on the preprocessing path, whose records alias them.
-func (p *linePipeline) recycle(b *lineBatch) {
-	// Chunks grown past batchBytes by a long line stay out of the pool,
-	// keeping the shared population uniformly sized.
-	if b.chunk != nil && p.recycleChunks && cap(b.chunk) == batchBytes {
-		chunkPool.Put(b.chunk[:0])
+	in, err := os.Open(samPath)
+	if err != nil {
+		return err
 	}
-	if b.out != nil {
+	defer in.Close()
+	var src batchSource
+	if mapped, unmap, err := mmapInput(in); err == nil {
+		// The mapping must outlive every batch: all are drained before
+		// this function returns.
+		defer unmap()
+		src = &mappedCutter{data: mapped[br.Start:br.End], base: br.Start}
+	} else {
+		src = &batchScanner{r: io.NewSectionReader(in, br.Start, br.Len()), off: br.Start}
+	}
+
+	recycle := func(b *lineBatch) {
+		if b.chunk != nil {
+			src.release(b.chunk)
+		}
 		outPool.Put(b.out[:0])
+		*b = lineBatch{}
+		batchPool.Put(b)
 	}
-	*b = lineBatch{}
-	batchPool.Put(b)
+	finish := func(b *lineBatch) error {
+		err := drain(b)
+		if err == nil {
+			err = b.err
+		}
+		recycle(b)
+		return err
+	}
+
+	if workers <= 1 {
+		for {
+			b := nextBatch(src)
+			if b == nil {
+				return nil
+			}
+			process(b)
+			if err := finish(b); err != nil {
+				return err
+			}
+		}
+	}
+
+	pipe := parpipe.NewObserved(workers, 4*workers, process, obs.Default(), name)
+	var stop atomic.Bool
+	go func() {
+		defer pipe.Close()
+		for !stop.Load() {
+			b := nextBatch(src)
+			if b == nil {
+				return
+			}
+			cutErr := b.err // b belongs to the pipe once submitted
+			pipe.Submit(b)
+			if cutErr != nil {
+				return
+			}
+		}
+	}()
+	var firstErr error
+	for b := range pipe.Out() {
+		if firstErr != nil {
+			recycle(b) // past the first error: discard the in-flight tail
+			continue
+		}
+		if firstErr = finish(b); firstErr != nil {
+			stop.Store(true)
+		}
+	}
+	return firstErr
+}
+
+// nextBatch cuts the next batch from src, or returns nil at the end of
+// the range. A cut error travels as the batch's err, so the drain sees
+// it after every complete batch before it.
+func nextBatch(src batchSource) *lineBatch {
+	chunk, base, err := src.next()
+	if err == io.EOF {
+		return nil
+	}
+	b := batchPool.Get().(*lineBatch)
+	b.chunk, b.base, b.err = chunk, base, err
+	b.out = outPool.Get().([]byte)[:0]
+	return b
 }
 
 // parseBatchLines drives one batch's line loop: every non-empty line is
@@ -316,7 +338,7 @@ func (p *linePipeline) recycle(b *lineBatch) {
 // stops there, recording it — batches are independent, and the ordered
 // drain surfaces the first error in stream order.
 func parseBatchLines(b *lineBatch, rec *sam.Record, emit func(*sam.Record) error) {
-	if b.err != nil || b.chunk == nil {
+	if b.err != nil {
 		return
 	}
 	data := b.chunk
@@ -324,8 +346,7 @@ func parseBatchLines(b *lineBatch, rec *sam.Record, emit func(*sam.Record) error
 	for len(data) > 0 {
 		line, rest := cutLine(data)
 		if len(line) >= maxSAMLineBytes {
-			// Line-limit parity with the sequential scanner, which
-			// refuses any line of at least the limit.
+			// The cutter refuses a line of at least the limit too.
 			b.err = errLineTooLong(b.base + rel)
 			return
 		}
@@ -346,246 +367,20 @@ func parseBatchLines(b *lineBatch, rec *sam.Record, emit func(*sam.Record) error
 	}
 }
 
-// convertSAMRangePipelined is convertSAMRange's pipelined body: scan
-// goroutine → ParseWorkers parse+encode workers → in-order drain into
-// the rank's target file. Each worker draws its own encoder instance
-// from a pool, since user-registered encoders may hold per-run state
-// that is not safe to share across goroutines.
-func convertSAMRangePipelined(samPath string, br partition.ByteRange, h *sam.Header,
-	opts *Options, rank int) (rangeStats, error) {
-
-	var stats rangeStats
-	enc, err := formats.New(opts.Format)
-	if err != nil {
-		return stats, err
-	}
-	in, err := os.Open(samPath)
-	if err != nil {
-		return stats, err
-	}
-	defer in.Close()
-	mapped, unmap, mmapErr := mmapFile(in)
-	if mmapErr == nil {
-		defer unmap()
-	}
-
-	w, err := newRankWriter(opts, enc, h, rank)
-	if err != nil {
-		return stats, err
-	}
-
-	var encPool sync.Pool
-	encPool.New = func() any {
-		e, _ := formats.New(opts.Format)
-		return e
-	}
-	p := newLinePipeline(opts.ParseWorkers, func(b *lineBatch) {
-		e := encPool.Get().(formats.Encoder)
+// encodeBAMBatch is the process stage shared by SAM→BAM and SAM→BAMX:
+// each record becomes its block_size-prefixed BAM body (bam.EncodeRecord)
+// appended to the batch output.
+func encodeBAMBatch(h *sam.Header) func(*lineBatch) {
+	return func(b *lineBatch) {
 		var rec sam.Record
 		parseBatchLines(b, &rec, func(r *sam.Record) error {
-			n := len(b.out)
-			out, err := e.Encode(b.out, r, h)
-			if err != nil {
-				return err
-			}
-			b.out = out
-			if len(out) != n {
-				b.emitted++
-			}
-			return nil
-		})
-		encPool.Put(e)
-	}, "conv.encode", true)
-	if mmapErr == nil {
-		p.startMapped(mapped[br.Start:br.Start+br.Len()], br.Start)
-	} else {
-		p.start(io.NewSectionReader(in, br.Start, br.Len()), br.Start)
-	}
-
-	live := newLiveProgress()
-	var firstErr error
-	for b := range p.pipe.Out() {
-		if firstErr == nil {
-			if len(b.out) > 0 {
-				if werr := w.writeBatch(b.out); werr != nil {
-					firstErr = werr
-				}
-			}
-			stats.records += b.records
-			stats.emitted += b.emitted
-			live.batch(b.records, int64(len(b.chunk)), int64(len(b.out)))
-			if firstErr == nil {
-				firstErr = b.err
-			}
-			if firstErr != nil {
-				p.stop.Store(true)
-			}
-		}
-		p.recycle(b)
-	}
-	if firstErr != nil {
-		w.close()
-		return stats, firstErr
-	}
-	stats.bytesOut = w.n
-	return stats, w.close()
-}
-
-// encodeSAMRangeToBAMPipelined is the SAM→BAM counterpart: workers
-// parse and binary-encode whole batches (bam.EncodeRecord), and the
-// drain hands the pre-encoded bytes to the shard writer in order —
-// BGZF framing is write-granularity independent, so the shard is
-// byte-identical to the per-record sequential path.
-func encodeSAMRangeToBAMPipelined(samPath string, br partition.ByteRange, h *sam.Header,
-	outPath string, opts *Options) (int64, int64, error) {
-
-	in, err := os.Open(samPath)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer in.Close()
-	mapped, unmap, mmapErr := mmapFile(in)
-	if mmapErr == nil {
-		defer unmap()
-	}
-
-	out, err := os.Create(outPath)
-	if err != nil {
-		return 0, 0, err
-	}
-	bw, err := bam.NewWriter(out, h, shardCodecOptions(opts)...)
-	if err != nil {
-		out.Close()
-		return 0, 0, err
-	}
-
-	p := newLinePipeline(opts.ParseWorkers, func(b *lineBatch) {
-		var rec sam.Record
-		parseBatchLines(b, &rec, func(r *sam.Record) error {
-			n := len(b.out)
 			enc, err := bam.EncodeRecord(b.out, r, h)
 			if err != nil {
-				b.out = b.out[:n]
 				return err
 			}
 			b.out = enc
 			b.emitted++
 			return nil
 		})
-	}, "conv.encode", true)
-	if mmapErr == nil {
-		p.startMapped(mapped[br.Start:br.Start+br.Len()], br.Start)
-	} else {
-		p.start(io.NewSectionReader(in, br.Start, br.Len()), br.Start)
 	}
-
-	live := newLiveProgress()
-	var n int64
-	var firstErr error
-	for b := range p.pipe.Out() {
-		if firstErr == nil {
-			if err := bw.WriteEncoded(b.out); err != nil {
-				firstErr = err
-			}
-			n += b.emitted
-			live.batch(b.records, int64(len(b.chunk)), int64(len(b.out)))
-			if firstErr == nil {
-				firstErr = b.err
-			}
-			if firstErr != nil {
-				p.stop.Store(true)
-			}
-		}
-		p.recycle(b)
-	}
-	if firstErr != nil {
-		bw.Close() // release codec workers before abandoning the shard
-		out.Close()
-		return 0, 0, firstErr
-	}
-	if err := bw.Close(); err != nil {
-		out.Close()
-		return 0, 0, err
-	}
-	fi, err := out.Stat()
-	if err != nil {
-		out.Close()
-		return 0, 0, err
-	}
-	return n, fi.Size(), out.Close()
-}
-
-// preprocessSAMRangePipelined parallelises the parse half of the
-// preprocessing-optimized converter: workers parse batches into record
-// slices ("conv.parse" stage), the drain concatenates them in input
-// order, and the BAMX/BAIX build proceeds as before. Records alias
-// their chunks, so chunks are detached from the pool rather than
-// recycled — the lifetime contract of sam.ParseRecordBytes.
-func preprocessSAMRangePipelined(samPath string, br partition.ByteRange,
-	parseWorkers int) ([]sam.Record, error) {
-
-	in, err := os.Open(samPath)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	section := io.NewSectionReader(in, br.Start, br.Len())
-
-	p := newLinePipeline(parseWorkers, func(b *lineBatch) {
-		if b.err != nil || b.chunk == nil {
-			return
-		}
-		data := b.chunk
-		rel := int64(0)
-		for len(data) > 0 {
-			line, rest := cutLine(data)
-			if len(line) >= maxSAMLineBytes {
-				b.err = errLineTooLong(b.base + rel)
-				return
-			}
-			rel += int64(len(data) - len(rest))
-			data = rest
-			if len(line) == 0 {
-				continue
-			}
-			rec, err := sam.ParseRecordBytes(line)
-			if err != nil {
-				b.err = err
-				return
-			}
-			b.recs = append(b.recs, rec)
-			b.records++
-		}
-	}, "conv.parse", false)
-	p.start(section, br.Start)
-
-	var recs []sam.Record
-	var firstErr error
-	for b := range p.pipe.Out() {
-		if firstErr == nil {
-			recs = append(recs, b.recs...)
-			firstErr = b.err
-			if firstErr != nil {
-				p.stop.Store(true)
-			}
-		}
-		p.recycle(b)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return recs, nil
-}
-
-// shardCodecOptions picks the codec wiring of one BAM shard writer:
-// when CodecWorkers was left adaptive the shard attaches to the
-// process-wide shared deflate pool (bgzf.SharedPool) — the many
-// short-lived writers ConvertSAMToBAM spawns per rank stop paying a
-// pool start/stop each — while an explicit worker count keeps the
-// per-stream pool or the sequential codec.
-func shardCodecOptions(opts *Options) []bam.Option {
-	if opts.sharedCodec {
-		return []bam.Option{bam.WithSharedCodec()}
-	}
-	return []bam.Option{bam.WithCodecWorkers(opts.CodecWorkers)}
 }

@@ -40,11 +40,6 @@ func (lp *liveProgress) batch(records, bytesIn, bytesOut int64) {
 	lp.bytesOut.Add(bytesOut)
 }
 
-// liveFlushEvery is the sequential loop's counter-flush period in
-// records: frequent enough that /progress tracks a live run, rare
-// enough that the atomics vanish in the per-line parse cost.
-const liveFlushEvery = 4096
-
 // addBytesTotal grows the ETA denominator by one rank's input share.
 func addBytesTotal(n int64) {
 	obs.Default().Gauge("conv.bytes_total").Add(n)

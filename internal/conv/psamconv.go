@@ -2,7 +2,6 @@ package conv
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -25,10 +24,10 @@ func PreprocessSAMParallel(samPath, outDir, prefix string, cores int) (*Preproce
 }
 
 // PreprocessSAMParallelWorkers is PreprocessSAMParallel with an
-// explicit per-rank parse worker count: parseWorkers > 1 parses each
-// rank's text partition on the batch pipeline ("conv.parse" stage),
-// 1 forces the sequential loop, and ≤ 0 selects the adaptive count
-// (GOMAXPROCS/cores, clamped).
+// explicit per-rank parse worker count: parseWorkers > 1 parses and
+// encodes each rank's text partition on that many workers ("conv.parse"
+// stage), 1 runs one worker drained inline on the rank's goroutine, and
+// ≤ 0 selects the adaptive count (GOMAXPROCS/cores, clamped).
 func PreprocessSAMParallelWorkers(samPath, outDir, prefix string, cores, parseWorkers int) (*PreprocessResult, error) {
 	return PreprocessSAMParallelLaunch(samPath, outDir, prefix, cores, parseWorkers, nil)
 }
@@ -99,48 +98,31 @@ func PreprocessSAMParallelLaunch(samPath, outDir, prefix string, cores, parseWor
 	return res, nil
 }
 
-// preprocessSAMRange parses one rank's text partition and writes it as a
-// BAMX file plus BAIX index. parseWorkers > 1 fans the parse out across
-// the batch pipeline; the sequential loop is the baseline.
+// preprocessSAMRange turns one rank's text partition into a BAMX file
+// plus BAIX index. The engine (pipeline.go) encodes the partition into
+// BAM records batch by batch — the same stage SAM→BAM runs — and the
+// drain appends them to one arena, which bamx.Build then measures and
+// lays out in the fixed-stride form.
 func preprocessSAMRange(samPath string, br partition.ByteRange, h *sam.Header,
 	bamxPath, baixPath string, parseWorkers int) (int64, error) {
 
-	var recs []sam.Record
-	if parseWorkers > 1 {
-		var err error
-		recs, err = preprocessSAMRangePipelined(samPath, br, parseWorkers)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		in, err := os.Open(samPath)
-		if err != nil {
-			return 0, err
-		}
-		defer in.Close()
-		section := io.NewSectionReader(in, br.Start, br.Len())
-		scan := newLineScanner(section, br.Start)
-		for scan.Scan() {
-			line := scan.Text()
-			if line == "" {
-				continue
-			}
-			rec, err := sam.ParseRecord(line)
-			if err != nil {
-				return 0, err
-			}
-			recs = append(recs, rec)
-		}
-		if err := scan.Err(); err != nil {
-			return 0, err
-		}
+	// BAM bodies are about as long as the SAM text they came from, so
+	// the partition's length is the arena's first guess.
+	arena := make([]byte, 0, br.Len())
+	var n int64
+	err := runSAMRange(samPath, br, parseWorkers, "conv.parse", encodeBAMBatch(h), func(b *lineBatch) error {
+		arena = append(arena, b.out...)
+		n += b.emitted
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-
 	out, err := os.Create(bamxPath)
 	if err != nil {
 		return 0, err
 	}
-	idx, err := bamx.BuildFromRecords(out, h, recs)
+	idx, err := bamx.Build(out, h, arena)
 	if err != nil {
 		out.Close()
 		return 0, err
@@ -156,7 +138,7 @@ func preprocessSAMRange(samPath string, br partition.ByteRange, h *sam.Header,
 		ixf.Close()
 		return 0, err
 	}
-	return int64(len(recs)), ixf.Close()
+	return n, ixf.Close()
 }
 
 // ConvertPreprocessed runs the parallel conversion phase of the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"parseq/internal/formats"
 	"parseq/internal/mpi"
@@ -102,7 +103,7 @@ func ConvertSAM(samPath string, opts Options) (*Result, error) {
 		addBytesTotal(br.Len()) // the /progress ETA denominator
 		csp := ph.Start(c.Rank(), "convert")
 		defer csp.End()
-		stats, err := convertSAMRange(samPath, br, header, enc, &opts, c.Rank())
+		stats, err := convertSAMRange(samPath, br, header, &opts, c.Rank())
 		if err != nil {
 			return err
 		}
@@ -128,67 +129,60 @@ type rangeStats struct {
 	bytesOut int64
 }
 
-// convertSAMRange is one rank's work: stream the byte range through the
-// read buffer, parse each line into an alignment object, run the user
-// program and write to the rank's target file. With ParseWorkers > 1
-// the work pipelines across a scan goroutine, parse+encode workers and
-// an in-order drain (pipeline.go); the sequential loop below is the
-// ParseWorkers == 1 baseline, byte-identical by construction.
+// convertSAMRange is one rank's work: the engine (pipeline.go) parses
+// the rank's byte range batch by batch, runs the user program (the
+// format encoder) over every record and drains the encoded batches in
+// input order into the rank's target file. Each parse worker draws its
+// own encoder instance, since user-registered encoders may hold
+// per-run state that is not safe to share across goroutines; one
+// worker uses the rank's own encoder throughout.
 func convertSAMRange(samPath string, br partition.ByteRange, h *sam.Header,
-	enc formats.Encoder, opts *Options, rank int) (rangeStats, error) {
-
-	if opts.ParseWorkers > 1 {
-		return convertSAMRangePipelined(samPath, br, h, opts, rank)
-	}
+	opts *Options, rank int) (rangeStats, error) {
 
 	var stats rangeStats
-	in, err := os.Open(samPath)
+	enc, err := formats.New(opts.Format)
 	if err != nil {
 		return stats, err
 	}
-	defer in.Close()
-	section := io.NewSectionReader(in, br.Start, br.Len())
-
 	w, err := newRankWriter(opts, enc, h, rank)
 	if err != nil {
 		return stats, err
 	}
-
-	scan := newLineScanner(section, br.Start)
+	encPool := sync.Pool{New: func() any {
+		e, _ := formats.New(opts.Format)
+		return e
+	}}
+	process := func(b *lineBatch) {
+		e := enc
+		if opts.ParseWorkers > 1 {
+			e = encPool.Get().(formats.Encoder)
+			defer encPool.Put(e)
+		}
+		var rec sam.Record
+		parseBatchLines(b, &rec, func(r *sam.Record) error {
+			n := len(b.out)
+			out, err := e.Encode(b.out, r, h)
+			if err != nil {
+				return err
+			}
+			b.out = out
+			if len(out) != n {
+				b.emitted++
+			}
+			return nil
+		})
+	}
 	live := newLiveProgress()
-	var flushed struct{ records, bytesIn, bytesOut int64 }
-	flush := func() {
-		live.batch(stats.records-flushed.records, scan.pos-flushed.bytesIn, w.n-flushed.bytesOut)
-		flushed.records, flushed.bytesIn, flushed.bytesOut = stats.records, scan.pos, w.n
-	}
-	defer flush()
-	var rec sam.Record
-	var out []byte
-	for scan.Scan() {
-		line := scan.Text()
-		if line == "" {
-			continue
+	err = runSAMRange(samPath, br, opts.ParseWorkers, "conv.encode", process, func(b *lineBatch) error {
+		stats.records += b.records
+		stats.emitted += b.emitted
+		live.batch(b.records, int64(len(b.chunk)), int64(len(b.out)))
+		if len(b.out) == 0 {
+			return nil
 		}
-		if err := sam.ParseRecordInto(&rec, line); err != nil {
-			w.close()
-			return stats, err
-		}
-		stats.records++
-		// Periodic flush keeps /progress live without an atomic per line.
-		if stats.records%liveFlushEvery == 0 {
-			flush()
-		}
-		var emitted bool
-		out, emitted, err = w.emit(out, &rec, h)
-		if err != nil {
-			w.close()
-			return stats, err
-		}
-		if emitted {
-			stats.emitted++
-		}
-	}
-	if err := scan.Err(); err != nil {
+		return w.writeBatch(b.out)
+	})
+	if err != nil {
 		w.close()
 		return stats, err
 	}

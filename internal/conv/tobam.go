@@ -76,21 +76,13 @@ func ConvertSAMToBAM(samPath string, opts Options) (*Result, error) {
 }
 
 // encodeSAMRangeToBAM encodes one text partition as a standalone BAM
-// file. With ParseWorkers > 1 the parse and record encode fan out
-// across the batch pipeline (pipeline.go) and the shard writer receives
-// pre-encoded batches; the loop below is the sequential baseline. In
-// either case an adaptive CodecWorkers attaches the shard's compression
-// to the process-wide shared deflate pool.
+// file: the engine (pipeline.go) parses and binary-encodes whole
+// batches (bam.EncodeRecord) and the drain hands the pre-encoded bytes
+// to the shard writer in order — BGZF framing is write-granularity
+// independent, so the shard's bytes do not depend on the batching. An
+// adaptive CodecWorkers attaches the shard's compression to the
+// process-wide shared deflate pool.
 func encodeSAMRangeToBAM(samPath string, br partition.ByteRange, h *sam.Header, outPath string, opts *Options) (int64, int64, error) {
-	if opts.ParseWorkers > 1 {
-		return encodeSAMRangeToBAMPipelined(samPath, br, h, outPath, opts)
-	}
-	in, err := os.Open(samPath)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer in.Close()
-
 	out, err := os.Create(outPath)
 	if err != nil {
 		return 0, 0, err
@@ -100,37 +92,15 @@ func encodeSAMRangeToBAM(samPath string, br partition.ByteRange, h *sam.Header, 
 		out.Close()
 		return 0, 0, err
 	}
-	n := int64(0)
-	var rec sam.Record
-	scan := newLineScanner(io.NewSectionReader(in, br.Start, br.Len()), br.Start)
 	live := newLiveProgress()
-	var flushedN, flushedIn int64
-	flush := func() {
-		live.batch(n-flushedN, scan.pos-flushedIn, 0)
-		flushedN, flushedIn = n, scan.pos
-	}
-	defer flush()
-	for scan.Scan() {
-		line := scan.Text()
-		if line == "" {
-			continue
-		}
-		if err := sam.ParseRecordInto(&rec, line); err != nil {
-			bw.Close() // release codec workers before abandoning the shard
-			out.Close()
-			return 0, 0, err
-		}
-		if err := bw.Write(&rec); err != nil {
-			bw.Close()
-			out.Close()
-			return 0, 0, err
-		}
-		if n++; n%liveFlushEvery == 0 {
-			flush()
-		}
-	}
-	if err := scan.Err(); err != nil {
-		bw.Close()
+	var n int64
+	err = runSAMRange(samPath, br, opts.ParseWorkers, "conv.encode", encodeBAMBatch(h), func(b *lineBatch) error {
+		n += b.emitted
+		live.batch(b.records, int64(len(b.chunk)), int64(len(b.out)))
+		return bw.WriteEncoded(b.out)
+	})
+	if err != nil {
+		bw.Close() // release codec workers before abandoning the shard
 		out.Close()
 		return 0, 0, err
 	}
@@ -144,6 +114,19 @@ func encodeSAMRangeToBAM(samPath string, br partition.ByteRange, h *sam.Header, 
 		return 0, 0, err
 	}
 	return n, fi.Size(), out.Close()
+}
+
+// shardCodecOptions picks the codec wiring of one BAM shard writer:
+// when CodecWorkers was left adaptive the shard attaches to the
+// process-wide shared deflate pool (bgzf.SharedPool) — the many
+// short-lived writers ConvertSAMToBAM spawns per rank stop paying a
+// pool start/stop each — while an explicit worker count keeps the
+// per-stream pool or the sequential codec.
+func shardCodecOptions(opts *Options) []bam.Option {
+	if opts.sharedCodec {
+		return []bam.Option{bam.WithSharedCodec()}
+	}
+	return []bam.Option{bam.WithCodecWorkers(opts.CodecWorkers)}
 }
 
 // MergeBAMShards fuses per-rank BAM shards (which share one header) into

@@ -28,9 +28,9 @@ type Scale struct {
 	CodecWorkers int
 	// ParseWorkers is the per-rank parse/encode goroutine count the
 	// measured SAM-text conversions run with (conv.Options.ParseWorkers);
-	// 0 selects the adaptive default, 1 the sequential line loop. Table I
+	// 0 selects the adaptive default, 1 one worker drained inline. Table I
 	// pins its own runs to 1 regardless: its measured times anchor the
-	// paper's *sequential* converter, so the batch pipeline must not leak
+	// paper's *sequential* converter, so no parallel parse stage may leak
 	// into the baseline.
 	ParseWorkers int
 	Machine      cluster.Machine

@@ -60,8 +60,9 @@ func Table1(sc Scale) (*Report, error) {
 	// --- SAM → FASTQ ---
 	noPre, err := bestOf(func() (time.Duration, error) {
 		// ParseWorkers pinned to 1: Table I anchors the *sequential*
-		// line-at-a-time converter, so the batch parse pipeline must not
-		// kick in here (same rationale as the CodecWorkers pin below).
+		// converter, so the rank runs one worker drained inline and no
+		// parallel parse stage kicks in here (same rationale as the
+		// CodecWorkers pin below).
 		res, err := conv.ConvertSAM(samPath, conv.Options{
 			Format: "fastq", Cores: 1, OutDir: outDir, OutPrefix: "t1_sam_nopre", ParseWorkers: 1,
 		})
