@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-conv fuzz-daemon ci
+.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-conv fuzz-sort fuzz-daemon ci
 
 all: build
 
@@ -103,6 +103,13 @@ fuzz-pamx:
 # same bytes or fail with the same first error.
 fuzz-conv:
 	$(GO) test -run '^$$' -fuzz 'FuzzSAMConvertParity' -fuzztime 10s ./internal/conv
+
+# Short fuzz pass over the coordinate sorter: arbitrary alignment bytes
+# through SortSAMToBAM must never panic, and an inline parse with
+# three-record runs and a two-worker parse with two-record runs must
+# write the same bytes or both fail.
+fuzz-sort:
+	$(GO) test -run '^$$' -fuzz 'FuzzSortSAMParity' -fuzztime 10s ./internal/sorter
 
 # Short fuzz pass over the daemon's job-spec decoder: arbitrary
 # submission bodies must yield a structured error or a spec that

@@ -20,7 +20,7 @@ func main() {
 	var (
 		in       = flag.String("in", "", "input file (.sam or .bam)")
 		out      = flag.String("out", "", "output BAM (default: input with .sorted.bam)")
-		cores    = flag.Int("p", 1, "parallel chunk-sort workers")
+		cores    = flag.Int("p", 1, "parallel chunk-sort workers, and SAM parse+encode workers")
 		chunk    = flag.Int("chunk", 0, "records per in-memory chunk (default 100000)")
 		codec    = flag.Int("codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped; 1: sequential codec)")
 		shared   = flag.Bool("shared-codec", false, "compress spilled runs on the process-wide shared deflate pool")

@@ -2,6 +2,7 @@ package bam
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -500,6 +501,56 @@ func BenchmarkFileRead(b *testing.B) {
 			} else if err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// CheckRecord refuses exactly what DecodeRecord refuses, with the same
+// error, and accepts every body EncodeRecord writes.
+func TestCheckRecordMatchesDecode(t *testing.T) {
+	h := testHeader()
+	for _, line := range testLines {
+		rec := mustParse(t, line)
+		enc, err := EncodeRecord(nil, &rec, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckRecord(enc[4:]); err != nil {
+			t.Errorf("CheckRecord(%q): %v", line, err)
+		}
+	}
+	rec := mustParse(t, testLines[1]) // no tags: aux starts at the body end
+	enc, err := EncodeRecord(nil, &rec, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := enc[4:]
+	nameEnd := 32 + int(good[8]) - 1
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"short", good[:31]},
+		{"negative seq", edit(func(b []byte) []byte { b[16], b[17], b[18], b[19] = 0xff, 0xff, 0xff, 0xff; return b })},
+		{"empty name", edit(func(b []byte) []byte { b[8] = 0; return b })},
+		{"cigar past end", edit(func(b []byte) []byte { b[12], b[13] = 0xff, 0x00; return b })},
+		{"name not NUL-terminated", edit(func(b []byte) []byte { b[nameEnd] = 'x'; return b })},
+		{"truncated tag", append(edit(func(b []byte) []byte { return b }), 'N', 'M')},
+		{"unknown tag type", append(edit(func(b []byte) []byte { return b }), 'X', 'X', 'q', 0)},
+		{"truncated int tag", append(edit(func(b []byte) []byte { return b }), 'X', 'I', 'i', 1, 2)},
+		{"unterminated string", append(edit(func(b []byte) []byte { return b }), 'X', 'Z', 'Z', 'a', 'b')},
+		{"bad array subtype", append(edit(func(b []byte) []byte { return b }), 'X', 'B', 'B', 'A', 1, 0, 0, 0, 'a')},
+		{"truncated array", append(edit(func(b []byte) []byte { return b }), 'X', 'B', 'B', 'i', 2, 0, 0, 0, 1, 0, 0, 0)},
+	} {
+		err := CheckRecord(c.body)
+		if !errors.Is(err, ErrInvalidRecord) {
+			t.Errorf("%s: CheckRecord = %v, want ErrInvalidRecord", c.name, err)
+			continue
+		}
+		var got sam.Record
+		if derr := DecodeRecord(c.body, &got, h); derr == nil || derr.Error() != err.Error() {
+			t.Errorf("%s: DecodeRecord = %v, CheckRecord = %v", c.name, derr, err)
 		}
 	}
 }

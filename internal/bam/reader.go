@@ -1,6 +1,7 @@
 package bam
 
 import (
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ type Option func(*codecOptions)
 type codecOptions struct {
 	workers int
 	shared  bool
+	level   int
 }
 
 // WithCodecWorkers selects the number of BGZF codec workers. Values
@@ -36,8 +38,15 @@ func WithSharedCodec() Option {
 	return func(o *codecOptions) { o.shared = true }
 }
 
+// WithLevel sets a Writer's flate compression level (flate.BestSpeed
+// through flate.BestCompression); the default is
+// flate.DefaultCompression. Readers ignore the option.
+func WithLevel(level int) Option {
+	return func(o *codecOptions) { o.level = level }
+}
+
 func applyOptions(opts []Option) codecOptions {
-	var o codecOptions
+	o := codecOptions{level: flate.DefaultCompression}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -241,11 +250,11 @@ func NewWriter(w io.Writer, h *sam.Header, opts ...Option) (*Writer, error) {
 	var bg bgzf.BlockWriter
 	switch {
 	case o.shared:
-		bg = bgzf.NewSharedParallelWriter(w)
+		bg = bgzf.NewSharedParallelWriterLevel(w, o.level, bgzf.MaxPayload)
 	case o.workers > 1:
-		bg = bgzf.NewParallelWriter(w, o.workers)
+		bg = bgzf.NewParallelWriterLevel(w, o.level, bgzf.MaxPayload, o.workers)
 	default:
-		bg = bgzf.NewWriter(w)
+		bg = bgzf.NewWriterLevel(w, o.level, bgzf.MaxPayload)
 	}
 	bw := &Writer{bg: bg, header: h}
 	text := h.String()

@@ -5,6 +5,7 @@
 package bam
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -180,13 +181,97 @@ func appendArrayTag(dst []byte, tag sam.Tag) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRecord parses one record body (after the block_size field) into
-// rec. refs resolves reference IDs to names.
-func DecodeRecord(body []byte, rec *sam.Record, h *sam.Header) error {
+// CheckRecord applies DecodeRecord's validation to one record body
+// (after the block_size field) without decoding it: the fixed prefix,
+// the declared name, CIGAR and sequence lengths against the body size,
+// the read name's NUL terminator, and every auxiliary tag's type and
+// length. A body it accepts decodes without error. It is the check that
+// lets callers pass bodies through verbatim (the coordinate sorter)
+// while still refusing exactly what a decoding path would.
+func CheckRecord(body []byte) error {
 	const fixed = 32
 	if len(body) < fixed {
 		return fmt.Errorf("%w: %d-byte body", ErrInvalidRecord, len(body))
 	}
+	nameLen := int(body[8])
+	nCigar := int(binary.LittleEndian.Uint16(body[12:]))
+	seqLen := int(int32(binary.LittleEndian.Uint32(body[16:])))
+	if seqLen < 0 || nameLen < 1 {
+		return fmt.Errorf("%w: negative lengths", ErrInvalidRecord)
+	}
+	need := fixed + nameLen + nCigar*4 + (seqLen+1)/2 + seqLen
+	if len(body) < need {
+		return fmt.Errorf("%w: body %d bytes, need %d", ErrInvalidRecord, len(body), need)
+	}
+	if body[fixed+nameLen-1] != 0 {
+		return fmt.Errorf("%w: read name not NUL-terminated", ErrInvalidRecord)
+	}
+	for aux := body[need:]; len(aux) > 0; {
+		if len(aux) < 3 {
+			return fmt.Errorf("%w: truncated tag", ErrInvalidRecord)
+		}
+		n, err := auxValueLen(aux[3:], aux[2])
+		if err != nil {
+			return err
+		}
+		aux = aux[3+n:]
+	}
+	return nil
+}
+
+// auxValueLen returns the encoded length of one tag value of type typ
+// at the start of aux, or the error decoding it would report.
+func auxValueLen(aux []byte, typ byte) (int, error) {
+	n := auxWidth(typ)
+	switch {
+	case typ == 'Z' || typ == 'H':
+		i := bytes.IndexByte(aux, 0)
+		if i < 0 {
+			return 0, fmt.Errorf("%w: unterminated %c tag", ErrInvalidRecord, typ)
+		}
+		return i + 1, nil
+	case typ == 'B':
+		if len(aux) < 5 {
+			return 0, fmt.Errorf("%w: truncated B tag", ErrInvalidRecord)
+		}
+		width := auxWidth(aux[0])
+		if width == 0 || aux[0] == 'A' {
+			return 0, fmt.Errorf("%w: B tag subtype %c", ErrInvalidRecord, aux[0])
+		}
+		count := int(binary.LittleEndian.Uint32(aux[1:]))
+		if len(aux)-5 < count*width {
+			return 0, fmt.Errorf("%w: truncated B tag array", ErrInvalidRecord)
+		}
+		return 5 + count*width, nil
+	case n == 0:
+		return 0, fmt.Errorf("%w: unknown tag type %c", ErrInvalidRecord, typ)
+	case len(aux) < n:
+		return 0, fmt.Errorf("%w: truncated %c tag", ErrInvalidRecord, typ)
+	}
+	return n, nil
+}
+
+// auxWidth is the encoded width of a fixed-size tag value (or B-array
+// element) type, 0 for the variable-length and unknown types.
+func auxWidth(typ byte) int {
+	switch typ {
+	case 'A', 'c', 'C':
+		return 1
+	case 's', 'S':
+		return 2
+	case 'i', 'I', 'f':
+		return 4
+	}
+	return 0
+}
+
+// DecodeRecord parses one record body (after the block_size field) into
+// rec. refs resolves reference IDs to names.
+func DecodeRecord(body []byte, rec *sam.Record, h *sam.Header) error {
+	if err := CheckRecord(body); err != nil {
+		return err
+	}
+	const fixed = 32
 	refID := int32(binary.LittleEndian.Uint32(body[0:]))
 	pos := int32(binary.LittleEndian.Uint32(body[4:]))
 	nameLen := int(body[8])
@@ -198,14 +283,6 @@ func DecodeRecord(body []byte, rec *sam.Record, h *sam.Header) error {
 	nextRefID := int32(binary.LittleEndian.Uint32(body[20:]))
 	nextPos := int32(binary.LittleEndian.Uint32(body[24:]))
 	rec.TLen = int32(binary.LittleEndian.Uint32(body[28:]))
-
-	if seqLen < 0 || nameLen < 1 {
-		return fmt.Errorf("%w: negative lengths", ErrInvalidRecord)
-	}
-	need := fixed + nameLen + nCigar*4 + (seqLen+1)/2 + seqLen
-	if len(body) < need {
-		return fmt.Errorf("%w: body %d bytes, need %d", ErrInvalidRecord, len(body), need)
-	}
 
 	rec.RName = h.RefByID(int(refID)).Name
 	rec.Pos = pos + 1
@@ -220,9 +297,6 @@ func DecodeRecord(body []byte, rec *sam.Record, h *sam.Header) error {
 	rec.PNext = nextPos + 1
 
 	off := fixed
-	if nameLen > 0 && body[off+nameLen-1] != 0 {
-		return fmt.Errorf("%w: read name not NUL-terminated", ErrInvalidRecord)
-	}
 	rec.QName = string(body[off : off+nameLen-1])
 	if rec.QName == "" {
 		rec.QName = "*"
@@ -254,139 +328,73 @@ func DecodeRecord(body []byte, rec *sam.Record, h *sam.Header) error {
 			kern.AddConst(qual, body[off:off+seqLen], 33)
 			rec.Qual = kern.BytesString(qual)
 		}
-		off = fixed + nameLen + nCigar*4 + (seqLen+1)/2 + seqLen
-	}
-	if seqLen == 0 {
-		off = fixed + nameLen + nCigar*4
+		off += seqLen
 	}
 
 	rec.Tags = rec.Tags[:0]
-	return decodeTags(body[off:], rec)
-}
-
-func decodeTags(aux []byte, rec *sam.Record) error {
-	for len(aux) > 0 {
-		if len(aux) < 3 {
-			return fmt.Errorf("%w: truncated tag", ErrInvalidRecord)
-		}
-		var tag sam.Tag
-		tag.Name[0], tag.Name[1] = aux[0], aux[1]
+	for aux := body[off:]; len(aux) > 0; {
 		typ := aux[2]
-		aux = aux[3:]
-		var err error
-		aux, tag, err = decodeTagValue(aux, tag, typ)
-		if err != nil {
-			return err
-		}
+		n, _ := auxValueLen(aux[3:], typ) // validated by CheckRecord
+		tag := sam.Tag{Name: [2]byte{aux[0], aux[1]}}
+		tag.Type, tag.Value = decodeTagValue(aux[3:3+n], typ)
 		rec.Tags = append(rec.Tags, tag)
+		aux = aux[3+n:]
 	}
 	return nil
 }
 
-func decodeTagValue(aux []byte, tag sam.Tag, typ byte) ([]byte, sam.Tag, error) {
-	intVal := func(n int, signed bool) (int64, error) {
-		if len(aux) < n {
-			return 0, fmt.Errorf("%w: truncated %c tag", ErrInvalidRecord, typ)
-		}
-		var u uint64
-		for i := 0; i < n; i++ {
-			u |= uint64(aux[i]) << (8 * i)
-		}
-		aux = aux[n:]
-		if signed {
-			switch n {
-			case 1:
-				return int64(int8(u)), nil
-			case 2:
-				return int64(int16(u)), nil
-			default:
-				return int64(int32(u)), nil
-			}
-		}
-		return int64(u), nil
-	}
+// decodeTagValue renders one validated tag value v of BAM type typ as
+// its SAM type and text.
+func decodeTagValue(v []byte, typ byte) (byte, string) {
 	switch typ {
 	case 'A':
-		if len(aux) < 1 {
-			return nil, tag, fmt.Errorf("%w: truncated A tag", ErrInvalidRecord)
-		}
-		tag.Type = 'A'
-		tag.Value = string(aux[:1])
-		return aux[1:], tag, nil
-	case 'c', 'C', 's', 'S', 'i', 'I':
-		width := map[byte]int{'c': 1, 'C': 1, 's': 2, 'S': 2, 'i': 4, 'I': 4}[typ]
-		signed := typ == 'c' || typ == 's' || typ == 'i'
-		v, err := intVal(width, signed)
-		if err != nil {
-			return nil, tag, err
-		}
-		tag.Type = 'i'
-		tag.Value = strconv.FormatInt(v, 10)
-		return aux, tag, nil
+		return 'A', string(v)
 	case 'f':
-		if len(aux) < 4 {
-			return nil, tag, fmt.Errorf("%w: truncated f tag", ErrInvalidRecord)
-		}
-		bits := binary.LittleEndian.Uint32(aux)
-		tag.Type = 'f'
-		tag.Value = strconv.FormatFloat(float64(math.Float32frombits(bits)), 'g', -1, 32)
-		return aux[4:], tag, nil
+		return 'f', auxFloat(v)
 	case 'Z', 'H':
-		i := 0
-		for i < len(aux) && aux[i] != 0 {
-			i++
-		}
-		if i == len(aux) {
-			return nil, tag, fmt.Errorf("%w: unterminated %c tag", ErrInvalidRecord, typ)
-		}
-		tag.Type = typ
-		tag.Value = string(aux[:i])
-		return aux[i+1:], tag, nil
+		return typ, string(v[:len(v)-1])
 	case 'B':
-		if len(aux) < 5 {
-			return nil, tag, fmt.Errorf("%w: truncated B tag", ErrInvalidRecord)
-		}
-		sub := aux[0]
-		count := int(binary.LittleEndian.Uint32(aux[1:]))
-		aux = aux[5:]
-		width := map[byte]int{'c': 1, 'C': 1, 's': 2, 'S': 2, 'i': 4, 'I': 4, 'f': 4}[sub]
-		if width == 0 {
-			return nil, tag, fmt.Errorf("%w: B tag subtype %c", ErrInvalidRecord, sub)
-		}
-		if len(aux) < count*width {
-			return nil, tag, fmt.Errorf("%w: truncated B tag array", ErrInvalidRecord)
-		}
+		sub, width := v[0], auxWidth(v[0])
+		count := int(binary.LittleEndian.Uint32(v[1:]))
+		v = v[5:]
 		var b strings.Builder
 		b.WriteByte(sub)
 		for i := 0; i < count; i++ {
 			b.WriteByte(',')
-			el := aux[i*width : (i+1)*width]
+			el := v[i*width : (i+1)*width]
 			if sub == 'f' {
-				bits := binary.LittleEndian.Uint32(el)
-				b.WriteString(strconv.FormatFloat(float64(math.Float32frombits(bits)), 'g', -1, 32))
-				continue
+				b.WriteString(auxFloat(el))
+			} else {
+				b.WriteString(strconv.FormatInt(auxInt(el, sub), 10))
 			}
-			var u uint64
-			for j := 0; j < width; j++ {
-				u |= uint64(el[j]) << (8 * j)
-			}
-			var v int64
-			switch {
-			case sub == 'c':
-				v = int64(int8(u))
-			case sub == 's':
-				v = int64(int16(u))
-			case sub == 'i':
-				v = int64(int32(u))
-			default:
-				v = int64(u)
-			}
-			b.WriteString(strconv.FormatInt(v, 10))
 		}
-		tag.Type = 'B'
-		tag.Value = b.String()
-		return aux[count*width:], tag, nil
+		return 'B', b.String()
 	default:
-		return nil, tag, fmt.Errorf("%w: unknown tag type %c", ErrInvalidRecord, typ)
+		return 'i', strconv.FormatInt(auxInt(v, typ), 10)
 	}
+}
+
+// auxInt decodes one little-endian integer of BAM type typ (c, C, s, S,
+// i or I).
+func auxInt(v []byte, typ byte) int64 {
+	switch typ {
+	case 'c':
+		return int64(int8(v[0]))
+	case 'C':
+		return int64(v[0])
+	case 's':
+		return int64(int16(binary.LittleEndian.Uint16(v)))
+	case 'S':
+		return int64(binary.LittleEndian.Uint16(v))
+	case 'i':
+		return int64(int32(binary.LittleEndian.Uint32(v)))
+	default:
+		return int64(binary.LittleEndian.Uint32(v))
+	}
+}
+
+// auxFloat renders one little-endian float32 the way SAM text does.
+func auxFloat(v []byte) string {
+	bits := binary.LittleEndian.Uint32(v)
+	return strconv.FormatFloat(float64(math.Float32frombits(bits)), 'g', -1, 32)
 }

@@ -17,6 +17,9 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"time"
+
+	"parseq/internal/obs"
 )
 
 const (
@@ -167,6 +170,9 @@ type Writer struct {
 	block   []byte // reusable wrapped-block buffer
 	offset  int64  // compressed bytes written so far
 	err     error
+
+	met   *codecObs  // non-nil on stage writers with telemetry enabled
+	sizer *poolSizer // non-nil on stage writers running on SharedPool
 }
 
 // NewWriter returns a BGZF writer using the default compression level and
@@ -182,6 +188,32 @@ func NewWriter(w io.Writer) *Writer {
 func NewWriterLevel(w io.Writer, level, payload int) *Writer {
 	level, payload = clampLevelPayload(level, payload)
 	return &Writer{w: w, level: level, payload: payload, buf: make([]byte, 0, payload)}
+}
+
+// NewStageWriter returns a sequential writer for deflate jobs a caller
+// fans out on its own parallel stage — whole PAMX column blobs, one job
+// per column. Each block is counted in the bgzf.deflate.* metrics
+// exactly as the parallel writers count theirs, and with shared set
+// (the stage runs on SharedPool) each block also feeds the shared
+// pool's throughput sizer. Reset points the writer at the next job.
+func NewStageWriter(shared bool) *Writer {
+	w := NewWriter(nil)
+	w.met = newCodecObs(obs.Default(), "deflate")
+	if shared {
+		SharedPool() // force sharedSizer initialisation
+		w.sizer = sharedSizer
+	}
+	return w
+}
+
+// Reset discards the writer's state, including a sticky error or a
+// completed Close, and points it at dst, keeping its level, payload
+// size, buffers and flate state for reuse.
+func (w *Writer) Reset(dst io.Writer) {
+	w.w = dst
+	w.buf = w.buf[:0]
+	w.offset = 0
+	w.err = nil
 }
 
 // clampLevelPayload applies the shared knob validation of both writers.
@@ -233,7 +265,12 @@ func (w *Writer) Flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
+	var t0 time.Time
+	if w.met != nil || w.sizer != nil {
+		t0 = time.Now()
+	}
 	block, err := w.def.wrap(w.block[:0], w.buf, w.level)
+	observeDeflate(w.met, w.sizer, len(w.buf), len(block), err, t0)
 	if err != nil {
 		w.err = err
 		return err

@@ -9,6 +9,7 @@
 package bgzf
 
 import (
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,6 +45,27 @@ func newCodecObs(reg *obs.Registry, dir string) *codecObs {
 		bytesIn:  reg.Counter(prefix + ".bytes_in"),
 		bytesOut: reg.Counter(prefix + ".bytes_out"),
 		latency:  reg.Histogram(prefix + ".latency_ns"),
+	}
+}
+
+// observeDeflate accounts one block of n payload bytes deflated into
+// out bytes since t0: the bgzf.deflate.* metrics when met is non-nil,
+// the shared pool's sizer when sizer is. Both nil costs nothing.
+func observeDeflate(met *codecObs, sizer *poolSizer, n, out int, err error, t0 time.Time) {
+	if met == nil && sizer == nil {
+		return
+	}
+	d := time.Since(t0)
+	if met != nil {
+		met.latency.Observe(d.Nanoseconds())
+		met.blocks.Add(1)
+		met.bytesIn.Add(int64(n))
+		if err == nil {
+			met.bytesOut.Add(int64(out))
+		}
+	}
+	if sizer != nil {
+		sizer.observe(n, d)
 	}
 }
 
@@ -90,6 +112,13 @@ type wblock struct {
 	err     error
 }
 
+// deflatorPools holds idle deflators per flate level (indexed from
+// flate.HuffmanOnly), shared by every ParallelWriter in the process: a
+// flate writer is ~650 KiB of state, and the many short-lived writers of
+// a run (shard writers, sorter spill runs) would otherwise each allocate
+// their own.
+var deflatorPools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+
 // ParallelWriter compresses a stream into BGZF blocks on a bounded
 // worker pool. Blocks are deflated concurrently and written to the
 // underlying writer in submission order, so the output is byte-identical
@@ -105,7 +134,6 @@ type ParallelWriter struct {
 	pipe *parpipe.Pipe[*wblock]
 
 	blkPool sync.Pool // *wblock, recycled payload+block buffers
-	defPool sync.Pool // *deflator, one per active worker
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -154,7 +182,6 @@ func newParallelWriter(w io.Writer, level, payload int) *ParallelWriter {
 	}
 	pw.cond = sync.NewCond(&pw.mu)
 	pw.blkPool.New = func() any { return &wblock{} }
-	pw.defPool.New = func() any { return &deflator{} }
 	pw.met = newCodecObs(obs.Default(), "deflate")
 	return pw
 }
@@ -167,20 +194,14 @@ func (w *ParallelWriter) compress(b *wblock) {
 	if w.met != nil || w.sizer != nil {
 		t0 = time.Now()
 	}
-	d := w.defPool.Get().(*deflator)
+	pool := &deflatorPools[w.level-flate.HuffmanOnly]
+	d, _ := pool.Get().(*deflator)
+	if d == nil {
+		d = &deflator{}
+	}
 	b.block, b.err = d.wrap(b.block[:0], b.payload, w.level)
-	w.defPool.Put(d)
-	if w.met != nil {
-		w.met.latency.Observe(time.Since(t0).Nanoseconds())
-		w.met.blocks.Add(1)
-		w.met.bytesIn.Add(int64(len(b.payload)))
-		if b.err == nil {
-			w.met.bytesOut.Add(int64(len(b.block)))
-		}
-	}
-	if w.sizer != nil {
-		w.sizer.observe(len(b.payload), time.Since(t0))
-	}
+	pool.Put(d)
+	observeDeflate(w.met, w.sizer, len(b.payload), len(b.block), b.err, t0)
 	w.mu.Lock()
 	if b.err == nil {
 		w.offset += int64(len(b.block))

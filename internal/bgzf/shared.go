@@ -41,16 +41,17 @@ func SharedPool() *parpipe.Pool {
 	return sharedPool
 }
 
-// NewSharedParallelWriter returns a parallel BGZF writer whose deflate
-// jobs run on SharedPool instead of a private worker pool. Output
-// bytes, virtual offsets and error behaviour are identical to
-// NewParallelWriter's; only the execution substrate differs, so the
-// many short-lived writers a converter rank opens stop paying a pool
-// start/stop per stream. Each compressed block also feeds the shared
-// pool's throughput sizer.
-func NewSharedParallelWriter(w io.Writer) *ParallelWriter {
+// NewSharedParallelWriterLevel returns a parallel BGZF writer whose
+// deflate jobs run on SharedPool instead of a private worker pool, with
+// an explicit flate level and per-block payload size as in
+// NewWriterLevel. Output bytes, virtual offsets and error behaviour are
+// identical to NewParallelWriterLevel's; only the execution substrate
+// differs, so the many short-lived writers a converter rank opens stop
+// paying a pool start/stop per stream. Each compressed block also feeds
+// the shared pool's throughput sizer.
+func NewSharedParallelWriterLevel(w io.Writer, level, payload int) *ParallelWriter {
 	pool := SharedPool()
-	pw := newParallelWriter(w, -1, MaxPayload)
+	pw := newParallelWriter(w, level, payload)
 	pw.sizer = sharedSizer
 	pw.pipe = parpipe.NewOnPool(pool, pipeDepth(pool.Max()), pw.compress, obs.Default(), "bgzf.deflate")
 	go pw.drain()

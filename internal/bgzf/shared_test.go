@@ -12,7 +12,7 @@ import (
 func compressShared(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewSharedParallelWriter(&buf)
+	w := NewSharedParallelWriterLevel(&buf, -1, MaxPayload)
 	if _, err := w.Write(data); err != nil {
 		t.Fatalf("shared Write: %v", err)
 	}

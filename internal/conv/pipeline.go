@@ -259,6 +259,13 @@ func runSAMRange(samPath string, br partition.ByteRange, workers int, name strin
 	} else {
 		src = &batchScanner{r: io.NewSectionReader(in, br.Start, br.Len()), off: br.Start}
 	}
+	return runBatches(src, workers, 4*workers, name, process, drain)
+}
+
+// runBatches is runSAMRange over an open batch source, with at most
+// depth batches in flight on the parallel stage.
+func runBatches(src batchSource, workers, depth int, name string,
+	process func(*lineBatch), drain func(*lineBatch) error) error {
 
 	recycle := func(b *lineBatch) {
 		if b.chunk != nil {
@@ -290,7 +297,7 @@ func runSAMRange(samPath string, br partition.ByteRange, workers int, name strin
 		}
 	}
 
-	pipe := parpipe.NewObserved(workers, 4*workers, process, obs.Default(), name)
+	pipe := parpipe.NewObserved(workers, depth, process, obs.Default(), name)
 	var stop atomic.Bool
 	go func() {
 		defer pipe.Close()

@@ -116,6 +116,43 @@ func encodeSAMRangeToBAM(samPath string, br partition.ByteRange, h *sam.Header, 
 	return n, fi.Size(), out.Close()
 }
 
+// EncodeSAM streams the alignment section of the SAM file at samPath
+// through the engine's SAM→BAM process stage, for consumers outside the
+// converter (the coordinate sorter). begin receives the parsed header
+// before any batch; emit then receives each batch's block_size-prefixed
+// record bodies (bam.EncodeRecord) in input order, valid only during
+// the call. workers sizes the parse+encode stage as ParseWorkers does:
+// 1 runs it inline on the caller, with no goroutines. The first begin,
+// parse, encode or emit error in stream order ends the run.
+//
+// A consumer that holds the records in memory (the sorter's chunks)
+// gains nothing from read-ahead beyond keeping the workers busy, so the
+// input is read in pooled chunks rather than mapped — every mapped page
+// would stay resident — and two batches per worker are in flight rather
+// than the converter's four.
+func EncodeSAM(samPath string, workers int, begin func(*sam.Header) error, emit func(bodies []byte) error) error {
+	f, err := os.Open(samPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	h, dataStart, err := scanHeader(f)
+	if err != nil {
+		return err
+	}
+	if err := begin(h); err != nil {
+		return err
+	}
+	src := &batchScanner{r: io.NewSectionReader(f, dataStart, fi.Size()-dataStart), off: dataStart}
+	return runBatches(src, workers, 2*workers, "conv.encode", encodeBAMBatch(h), func(b *lineBatch) error {
+		return emit(b.out)
+	})
+}
+
 // shardCodecOptions picks the codec wiring of one BAM shard writer:
 // when CodecWorkers was left adaptive the shard attaches to the
 // process-wide shared deflate pool (bgzf.SharedPool) — the many

@@ -105,10 +105,12 @@ func writePAMX(path string, h *sam.Header, opts Options, fill func(*Writer) erro
 	bw := bufio.NewWriterSize(out, 1<<20)
 	w, err := NewWriter(bw, h, opts)
 	if err == nil {
-		err = fill(w)
-	}
-	if err == nil {
-		err = w.Close()
+		if err = fill(w); err != nil {
+			w.fail(err)
+		}
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err == nil {
 		err = bw.Flush()

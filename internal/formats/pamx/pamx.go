@@ -19,8 +19,9 @@
 //	uint64 footer length | trailer magic "PAMXIDX1"
 //
 // Each blob is an independent BGZF stream (empty columns are omitted
-// entirely), compressed through the process-wide bgzf.SharedPool by
-// default, so file bytes are bit-identical at any codec worker count. A
+// entirely); the writer compresses the blobs of several groups at once,
+// through the process-wide bgzf.SharedPool by default, and file bytes
+// are bit-identical at any codec worker count. A
 // group never spans a reference change, which is what lets the shard
 // provider hand whole groups to region-parallel analyses with the
 // exactly-once ownership contract intact.
@@ -125,9 +126,11 @@ const coordStride = 36
 
 // Options tunes a Writer.
 type Options struct {
-	// CodecWorkers drives the per-column BGZF compression: 0 attaches to
-	// the process-wide bgzf.SharedPool, 1 uses the sequential codec, and
-	// n > 1 a private n-worker pool. All three emit bit-identical bytes.
+	// CodecWorkers drives the column compressor, which deflates every
+	// (group, column) pair as one job: 0 runs the jobs on the
+	// process-wide bgzf.SharedPool, n > 1 on a private n-worker pool,
+	// both with workers+1 groups in flight, and 1 inline on the caller
+	// with no goroutines. All three emit bit-identical bytes.
 	CodecWorkers int
 	// GroupBytes caps the uncompressed bytes buffered into one column
 	// group before it is cut (summed across columns). ≤ 0 picks
@@ -141,7 +144,8 @@ type Options struct {
 
 // DefaultGroupBytes is the group target when Options leaves it unset:
 // large enough to amortise per-column stream overhead and keep the
-// footer tiny, small enough that many groups exist to parallelise over.
+// footer tiny, small enough that many groups exist for the writer to
+// compress in parallel and for shard readers to spread across workers.
 const DefaultGroupBytes = 4 << 20
 
 // bodyLens extracts the variable-section lengths from a BAM record body

@@ -3,6 +3,7 @@ package pamx
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -163,6 +164,117 @@ func TestRoundTripByteIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	// The group-structure extremes: one group for the whole file (one
+	// reference, under the default size cap), and one record per group.
+	// Writer.Groups and the footer must match the inline compressor's
+	// byte for byte at every worker count, and the file must round-trip.
+	d := simdata.Generate(simdata.DefaultConfig(n))
+	one := &simdata.Dataset{Header: d.Header}
+	for _, rec := range d.Records {
+		if rec.RName == d.Header.Refs[0].Name {
+			one.Records = append(one.Records, rec)
+		}
+	}
+	onePath := filepath.Join(dir, "one.bam")
+	f, err := os.Create(onePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.WriteBAM(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, c := range []struct {
+		path         string
+		groupRecords int
+		groups       int
+	}{
+		{onePath, 0, 1},
+		{bamPath, 1, n},
+	} {
+		bodies := readBAMBodies(t, c.path)
+		h := readBAMHeader(t, c.path)
+		ref, refGroups := writeBodies(t, h, bodies, Options{CodecWorkers: 1, GroupRecords: c.groupRecords})
+		if refGroups != c.groups {
+			t.Fatalf("GroupRecords %d: %d groups, want %d", c.groupRecords, refGroups, c.groups)
+		}
+		for _, workers := range []int{0, 4} {
+			raw, groups := writeBodies(t, h, bodies, Options{CodecWorkers: workers, GroupRecords: c.groupRecords})
+			if groups != refGroups {
+				t.Errorf("GroupRecords %d workers %d: Groups() = %d, inline %d", c.groupRecords, workers, groups, refGroups)
+			}
+			if !bytes.Equal(footerBytes(t, raw), footerBytes(t, ref)) {
+				t.Errorf("GroupRecords %d workers %d: footer differs from the inline compressor's", c.groupRecords, workers)
+			}
+			if !bytes.Equal(raw, ref) {
+				t.Errorf("GroupRecords %d workers %d: PAMX bytes differ from the inline compressor's", c.groupRecords, workers)
+			}
+		}
+		pamxPath := filepath.Join(dir, "extreme.pamx")
+		if err := os.WriteFile(pamxPath, ref, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back := filepath.Join(dir, "extreme.bam")
+		if _, err := ToBAM(pamxPath, back, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, rewriteBAM(t, c.path)) {
+			t.Errorf("GroupRecords %d: round-tripped BAM differs from canonical rewrite", c.groupRecords)
+		}
+	}
+}
+
+// readBAMHeader returns a BAM file's header.
+func readBAMHeader(t testing.TB, path string) *sam.Header {
+	t.Helper()
+	in, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	br, err := bam.NewReader(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	return br.Header()
+}
+
+// writeBodies writes bodies through a Writer into memory and returns the
+// file bytes and the writer's group count.
+func writeBodies(t testing.TB, h *sam.Header, bodies [][]byte, opts Options) ([]byte, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, h, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range bodies {
+		if err := w.WriteBody(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), w.Groups()
+}
+
+// footerBytes extracts the encoded footer index of a PAMX file.
+func footerBytes(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	tail := 8 + len(TrailerMagic)
+	n := int(binary.LittleEndian.Uint64(raw[len(raw)-tail:]))
+	footer := raw[len(raw)-tail-n : len(raw)-tail]
+	if _, err := DecodeFooter(footer); err != nil {
+		t.Fatal(err)
+	}
+	return footer
 }
 
 // TestFromBAMXMatchesFromBAM converts the same dataset from its BAM and

@@ -1,23 +1,33 @@
 // Package sorter coordinate-sorts alignment datasets, the precondition
 // for every index in this repository (BAI binning, BAIX starting
 // positions) and for the paper's sorted 117 GB BAM input. The sort is an
-// external merge sort in the samtools mould: the input streams into
-// bounded in-memory chunks, chunks sort in parallel ranks and spill as
-// sorted temporary runs, and a k-way merge produces the output. Unmapped
-// records sort after all mapped ones, as samtools does.
+// external merge sort in the samtools mould over encoded BAM record
+// bodies: the input streams into bounded in-memory chunks of
+// block_size-prefixed bodies, chunks sort in parallel workers on a
+// coordinate key read straight from each body and spill as sorted
+// temporary runs, and a k-way merge of the runs' bodies writes the
+// output. Records are never decoded: SAM input is parsed and encoded
+// once by the converter's batch engine (conv.EncodeSAM), BAM input
+// bodies are validated (bam.CheckRecord) and passed through verbatim.
+// Unmapped records sort after all mapped ones, as samtools does.
 package sorter
 
 import (
+	"cmp"
+	"compress/flate"
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"parseq/internal/bam"
 	"parseq/internal/bgzf"
+	"parseq/internal/conv"
 	"parseq/internal/obs"
 	"parseq/internal/sam"
 )
@@ -27,17 +37,18 @@ type Options struct {
 	// ChunkRecords is the number of records sorted in memory per run
 	// (default 100k ≈ tens of MB for short reads).
 	ChunkRecords int
-	// Cores sorts chunks with this many parallel workers.
+	// Cores sorts chunks with this many parallel workers; SAM input is
+	// also parsed and encoded on as many (1 parses inline on the
+	// caller).
 	Cores int
 	// TmpDir receives the temporary runs; "" uses the OS default.
 	TmpDir string
-	// CodecWorkers is the BGZF codec/decoder worker budget. The input
-	// reader gets the full budget — codec workers plus, for BAM input,
-	// the parallel record decoder (bam.ParallelScanner) — while spilled
-	// runs and merge readers share it, clamped per stream so many runs
-	// do not multiply the goroutine count. 0 selects the adaptive
-	// default (bgzf.AutoWorkers); 1 forces the sequential paths.
-	// Orthogonal to Cores, exactly as in the converter runtime.
+	// CodecWorkers is the BGZF codec worker budget. The BAM input
+	// reader gets the full budget, while spilled runs and merge readers
+	// share it, clamped per stream so many runs do not multiply the
+	// goroutine count. 0 selects the adaptive default
+	// (bgzf.AutoWorkers); 1 forces the sequential codec. Orthogonal to
+	// Cores, exactly as in the converter runtime.
 	CodecWorkers int
 	// SharedCodec attaches the spill and merge BGZF writers to the
 	// process-wide bgzf shared deflate pool (bgzf.SharedPool) instead
@@ -63,6 +74,13 @@ func (o *Options) normalize() {
 	}
 }
 
+// runLevel is the flate level of the temporary runs. A run is written
+// once, read once by the merge and deleted, so speed beats ratio: on a
+// BAM body stream Go's level 1 deflates about seven times faster than
+// the default level 6, for runs about 12% larger. The output keeps the
+// default level.
+const runLevel = flate.BestSpeed
+
 // perStreamWorkers divides one codec worker budget across streams that
 // are open simultaneously (parallel spill writers, merge readers).
 func perStreamWorkers(budget, streams int) int {
@@ -76,60 +94,83 @@ func perStreamWorkers(budget, streams int) int {
 	return per
 }
 
-// key is a record's coordinate sort key. Unmapped records (refID -1) map
-// past every reference.
-type key struct {
-	refID int32
-	pos   int32
-}
-
-func keyOf(h *sam.Header, rec *sam.Record) key {
-	id := h.RefID(rec.RName)
-	if id < 0 || rec.Unmapped() {
-		return key{refID: 1<<31 - 1, pos: rec.Pos}
+// bodyKey packs a record's coordinate sort key from its encoded body:
+// the reference ID in the high word — unmapped records and records with
+// no reference in the header map past every reference — and the
+// sign-flipped 0-based position in the low word, so unsigned comparison
+// orders by (reference, position).
+func bodyKey(body []byte, nRefs int32) uint64 {
+	refID := int32(binary.LittleEndian.Uint32(body[0:]))
+	pos := binary.LittleEndian.Uint32(body[4:])
+	flag := sam.Flag(binary.LittleEndian.Uint16(body[14:]))
+	if refID < 0 || refID >= nRefs || flag.Unmapped() {
+		refID = math.MaxInt32
 	}
-	return key{refID: int32(id), pos: rec.Pos}
+	return uint64(uint32(refID))<<32 | uint64(pos^1<<31)
 }
 
-func (k key) less(other key) bool {
-	if k.refID != other.refID {
-		return k.refID < other.refID
-	}
-	return k.pos < other.pos
+// chunk is one in-memory run: block_size-prefixed record bodies back to
+// back, and one (key, offset) entry per record.
+type chunk struct {
+	idx  int
+	data []byte
+	ents []entry
 }
 
-// SortRecords coordinate-sorts records in place (stable, so equal
-// positions keep input order).
-func SortRecords(h *sam.Header, recs []sam.Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		return keyOf(h, &recs[i]).less(keyOf(h, &recs[j]))
+// entry locates one record of a chunk: its sort key and the offset of
+// its block_size prefix in the chunk's data. Offsets grow with input
+// order, so ordering equal keys by offset keeps the sort stable.
+type entry struct {
+	key uint64
+	off int
+}
+
+func (c *chunk) add(body []byte, nRefs int32) {
+	c.ents = append(c.ents, entry{key: bodyKey(body, nRefs), off: len(c.data)})
+	c.data = binary.LittleEndian.AppendUint32(c.data, uint32(len(body)))
+	c.data = append(c.data, body...)
+}
+
+// record returns entry e's block_size-prefixed bytes.
+func (c *chunk) record(e entry) []byte {
+	n := 4 + int(binary.LittleEndian.Uint32(c.data[e.off:]))
+	return c.data[e.off : e.off+n]
+}
+
+func (c *chunk) sort() {
+	slices.SortFunc(c.ents, func(a, b entry) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.off, b.off)
 	})
-}
-
-// recordSource abstracts SAM/BAM inputs for the sorter.
-type recordSource interface {
-	Header() *sam.Header
-	ReadInto(*sam.Record) error
 }
 
 // SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file.
 func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 	opts.normalize()
-	in, err := os.Open(samPath)
-	if err != nil {
+	var s *sorter
+	err := conv.EncodeSAM(samPath, opts.Cores, func(h *sam.Header) (err error) {
+		s, err = newSorter(h, opts)
+		return err
+	}, func(bodies []byte) error {
+		for len(bodies) > 0 {
+			n := 4 + int(binary.LittleEndian.Uint32(bodies))
+			if err := s.add(bodies[4:n]); err != nil {
+				return err
+			}
+			bodies = bodies[n:]
+		}
+		return nil
+	})
+	if s == nil {
 		return 0, err
 	}
-	defer in.Close()
-	src, err := sam.NewReader(in)
-	if err != nil {
-		return 0, err
-	}
-	return sortToBAM(src, outPath, opts)
+	return s.finish(err, outPath)
 }
 
-// SortBAM sorts a BAM file into a coordinate-sorted BAM file. With more
-// than one codec worker the input decodes through bam.ParallelScanner —
-// record order and output bytes stay identical to the sequential path.
+// SortBAM sorts a BAM file into a coordinate-sorted BAM file. Record
+// bodies pass through verbatim once bam.CheckRecord accepts them.
 func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 	opts.normalize()
 	in, err := os.Open(bamPath)
@@ -137,245 +178,309 @@ func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 		return 0, err
 	}
 	defer in.Close()
-	src, err := bam.NewReader(in, bam.WithCodecWorkers(opts.CodecWorkers))
+	br, err := bam.NewReader(in, bam.WithCodecWorkers(opts.CodecWorkers))
 	if err != nil {
 		return 0, err
 	}
-	defer src.Close()
-	if opts.CodecWorkers > 1 {
-		sc := bam.NewParallelScanner(src, opts.CodecWorkers)
-		defer sc.Close() // runs before src.Close: the scanner owns the stream
-		return sortToBAM(sc, outPath, opts)
+	defer br.Close()
+	s, err := newSorter(br.Header(), opts)
+	if err != nil {
+		return 0, err
 	}
-	return sortToBAM(src, outPath, opts)
+	sc := bam.NewBodyScanner(br)
+	for {
+		body, err := sc.Next()
+		if err == io.EOF {
+			return s.finish(nil, outPath)
+		}
+		if err == nil {
+			err = bam.CheckRecord(body)
+		}
+		if err == nil {
+			err = s.add(body)
+		}
+		if err != nil {
+			return s.finish(err, outPath)
+		}
+	}
 }
 
-// sortToBAM drives the external merge sort.
-func sortToBAM(src recordSource, outPath string, opts Options) (int64, error) {
-	opts.normalize()
-	header := src.Header().Clone()
-	header.SortOrder = sam.SortCoordinate
+// sorter is one sort in flight: the input side cuts chunks, Cores spill
+// workers sort them and write the runs, and finish merges.
+type sorter struct {
+	header *sam.Header // the output header: the input's, coordinate-sorted
+	nRefs  int32
+	opts   Options
+	tmpDir string
+	phases *obs.PhaseSet
+	spill  obs.PhaseSpan
 
+	cur       *chunk
+	chunks    int   // chunks handed to the spill workers
+	total     int64 // records added
+	lastBytes int   // the last chunk handed over: new chunks are sized
+	lastRecs  int   // like it
+	jobs      chan *chunk
+	free      chan *chunk // emptied chunks, reused by the input side
+	wg        sync.WaitGroup
+
+	mu  sync.Mutex
+	err error // first spill error
+}
+
+func newSorter(h *sam.Header, opts Options) (*sorter, error) {
 	tmpDir, err := os.MkdirTemp(opts.TmpDir, "parseq-sort-")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer os.RemoveAll(tmpDir)
-
-	reg := obs.Default()
-	ph := obs.NewPhaseSet(reg)
-	spill := ph.Start(0, "sort.spill")
-
-	// Phase 1: read chunks, sort them in parallel workers, spill runs.
-	type job struct {
-		idx  int
-		recs []sam.Record
+	header := h.Clone()
+	header.SortOrder = sam.SortCoordinate
+	s := &sorter{
+		header: header,
+		nRefs:  int32(len(header.Refs)),
+		opts:   opts,
+		tmpDir: tmpDir,
+		phases: obs.NewPhaseSet(obs.Default()),
+		// An unbuffered handoff bounds the chunks in memory to one per
+		// spill worker plus the one filling, which is also the most the
+		// free list can be asked to hold.
+		jobs: make(chan *chunk),
+		free: make(chan *chunk, opts.Cores+1),
 	}
-	jobs := make(chan job, opts.Cores)
-	runPaths := make([]string, 0, 8)
-	var runMu sync.Mutex
-	var wg sync.WaitGroup
-	workerErr := make([]error, opts.Cores)
-	spillWorkers := perStreamWorkers(opts.CodecWorkers, opts.Cores)
+	s.spill = s.phases.Start(0, "sort.spill")
+	codecWorkers := perStreamWorkers(opts.CodecWorkers, opts.Cores)
 	for w := 0; w < opts.Cores; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for j := range jobs {
-				SortRecords(header, j.recs)
-				path := filepath.Join(tmpDir, fmt.Sprintf("run%06d.bam", j.idx))
-				if err := writeRun(path, header, j.recs, spillWorkers, opts.SharedCodec); err != nil {
-					workerErr[worker] = err
-					// Drain remaining jobs so the producer never blocks.
-					continue
+		s.wg.Add(1)
+		go s.spillWorker(codecWorkers)
+	}
+	return s, nil
+}
+
+// add appends one record body to the current chunk, handing the chunk
+// to the spill workers once it holds ChunkRecords records.
+func (s *sorter) add(body []byte) error {
+	if s.cur == nil {
+		select {
+		case s.cur = <-s.free:
+		default:
+			// Size a new chunk like the last full one, with slack for
+			// longer records, sparing the growth copies of an arena
+			// built up from empty.
+			s.cur = &chunk{data: make([]byte, 0, s.lastBytes+s.lastBytes/8), ents: make([]entry, 0, s.lastRecs)}
+		}
+	}
+	s.cur.add(body, s.nRefs)
+	s.total++
+	if len(s.cur.ents) < s.opts.ChunkRecords {
+		return nil
+	}
+	return s.flush()
+}
+
+func (s *sorter) flush() error {
+	if err := s.spillErr(); err != nil {
+		return err
+	}
+	s.cur.idx = s.chunks
+	s.chunks++
+	s.lastBytes, s.lastRecs = len(s.cur.data), len(s.cur.ents)
+	s.jobs <- s.cur
+	s.cur = nil
+	return nil
+}
+
+func (s *sorter) spillErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// spillWorker sorts chunks and writes each as a run. After the first
+// error it only recycles chunks, so the input side never blocks.
+func (s *sorter) spillWorker(codecWorkers int) {
+	defer s.wg.Done()
+	for c := range s.jobs {
+		if s.spillErr() == nil {
+			c.sort()
+			if err := s.writeRun(c, codecWorkers); err != nil {
+				s.mu.Lock()
+				if s.err == nil {
+					s.err = err
 				}
-				runMu.Lock()
-				runPaths = append(runPaths, path)
-				runMu.Unlock()
+				s.mu.Unlock()
 			}
-		}(w)
+		}
+		c.data, c.ents = c.data[:0], c.ents[:0]
+		select {
+		case s.free <- c:
+		default:
+		}
 	}
+}
 
-	var total int64
-	chunk := make([]sam.Record, 0, opts.ChunkRecords)
-	chunkIdx := 0
-	var readErr error
-	for {
-		var rec sam.Record
-		err := src.ReadInto(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-		total++
-		chunk = append(chunk, rec)
-		if len(chunk) == opts.ChunkRecords {
-			jobs <- job{idx: chunkIdx, recs: chunk}
-			chunkIdx++
-			chunk = make([]sam.Record, 0, opts.ChunkRecords)
-		}
-	}
-	if len(chunk) > 0 && readErr == nil {
-		jobs <- job{idx: chunkIdx, recs: chunk}
-	}
-	close(jobs)
-	wg.Wait()
-	if readErr != nil {
-		return 0, readErr
-	}
-	for _, err := range workerErr {
-		if err != nil {
-			return 0, err
-		}
-	}
-	spill.End()
-	reg.Counter("sorter.records").Add(total)
-	reg.Counter("sorter.runs").Add(int64(len(runPaths)))
+func (s *sorter) runPath(idx int) string {
+	return filepath.Join(s.tmpDir, fmt.Sprintf("run%06d.bam", idx))
+}
 
-	// Phase 2: k-way merge of the sorted runs.
-	merge := ph.Start(0, "sort.merge")
-	sort.Strings(runPaths)
-	if err := mergeRuns(runPaths, header, outPath, opts.CodecWorkers, opts.SharedCodec); err != nil {
+// writerOpts selects the codec of one output or run writer.
+func (s *sorter) writerOpts(codecWorkers, level int) []bam.Option {
+	opts := []bam.Option{bam.WithLevel(level)}
+	if s.opts.SharedCodec {
+		return append(opts, bam.WithSharedCodec())
+	}
+	return append(opts, bam.WithCodecWorkers(codecWorkers))
+}
+
+// writeRun spills one sorted chunk as a BAM run at runLevel.
+func (s *sorter) writeRun(c *chunk, codecWorkers int) error {
+	f, err := os.Create(s.runPath(c.idx))
+	if err != nil {
+		return err
+	}
+	w, err := bam.NewWriter(f, s.header, s.writerOpts(codecWorkers, runLevel)...)
+	if err == nil {
+		for _, e := range c.ents {
+			if err = w.WriteEncoded(c.record(e)); err != nil {
+				break
+			}
+		}
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// finish spills the last chunk, waits for the spill workers and merges
+// the runs into outPath. err is the input side's error, if any: the
+// workers still stop and the temporary runs are still removed.
+func (s *sorter) finish(err error, outPath string) (int64, error) {
+	defer os.RemoveAll(s.tmpDir)
+	if err == nil && s.cur != nil && len(s.cur.ents) > 0 {
+		err = s.flush()
+	}
+	close(s.jobs)
+	s.wg.Wait()
+	s.spill.End()
+	if err == nil {
+		err = s.spillErr()
+	}
+	if err != nil {
 		return 0, err
 	}
-	merge.End()
-	return total, nil
+	reg := obs.Default()
+	reg.Counter("sorter.records").Add(s.total)
+	reg.Counter("sorter.runs").Add(int64(s.chunks))
+
+	merge := s.phases.Start(0, "sort.merge")
+	defer merge.End()
+	if err := s.merge(outPath); err != nil {
+		os.Remove(outPath)
+		return 0, err
+	}
+	return s.total, nil
 }
 
-// writeRun spills one sorted chunk as a BAM run.
-func writeRun(path string, h *sam.Header, recs []sam.Record, codecWorkers int, shared bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	wopt := bam.WithCodecWorkers(codecWorkers)
-	if shared {
-		wopt = bam.WithSharedCodec()
-	}
-	w, err := bam.NewWriter(f, h, wopt)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// runHead is one run's next record in the merge heap.
+type runHead struct {
+	key  uint64
+	run  int
+	body []byte // valid until sc.Next
+	sc   *bam.BodyScanner
 }
 
-// mergeItem is one run's head record in the merge heap.
-type mergeItem struct {
-	rec sam.Record
-	k   key
-	src int
-}
+// mergeHeap orders run heads by key; equal keys go to the earlier run,
+// which holds the earlier input records, keeping the sort stable.
+type mergeHeap []runHead
 
-type mergeHeap struct {
-	items []mergeItem
-}
-
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.k != b.k {
-		return a.k.less(b.k)
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	if h[i].key != h[j].key {
+		return h[i].key < h[j].key
 	}
-	// Equal keys: earlier run wins, keeping the sort stable.
-	return a.src < b.src
+	return h[i].run < h[j].run
 }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(runHead)) }
+func (h *mergeHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return x
 }
 
-// mergeRuns streams the runs through a heap into the output BAM.
-func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorkers int, shared bool) error {
+// merge streams the runs' bodies through the heap into the output BAM
+// at the default level.
+func (s *sorter) merge(outPath string) error {
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
-	wopt := bam.WithCodecWorkers(codecWorkers)
-	if shared {
-		wopt = bam.WithSharedCodec()
-	}
-	w, err := bam.NewWriter(out, header, wopt)
+	w, err := bam.NewWriter(out, s.header, s.writerOpts(s.opts.CodecWorkers, flate.DefaultCompression)...)
 	if err != nil {
 		out.Close()
 		return err
 	}
-	readers := make([]*bam.Reader, len(runPaths))
-	files := make([]*os.File, len(runPaths))
-	defer func() {
-		for i, f := range files {
-			if readers[i] != nil {
-				readers[i].Close()
-			}
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	h := &mergeHeap{}
-	// The merge keeps every run open at once; clamp the per-run codec
-	// worker count so k runs never cost k × budget goroutines.
-	runWorkers := perStreamWorkers(codecWorkers, len(runPaths))
-	for i, path := range runPaths {
-		f, err := os.Open(path)
+	err = s.mergeInto(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (s *sorter) mergeInto(w *bam.Writer) error {
+	// Every run stays open at once; clamp the per-run codec worker count
+	// so k runs never cost k × budget goroutines.
+	runWorkers := perStreamWorkers(s.opts.CodecWorkers, s.chunks)
+	h := make(mergeHeap, 0, s.chunks)
+	for i := 0; i < s.chunks; i++ {
+		f, err := os.Open(s.runPath(i))
 		if err != nil {
-			out.Close()
 			return err
 		}
-		files[i] = f
+		defer f.Close()
 		r, err := bam.NewReader(f, bam.WithCodecWorkers(runWorkers))
 		if err != nil {
-			out.Close()
 			return err
 		}
-		readers[i] = r
-		var rec sam.Record
-		if err := r.ReadInto(&rec); err == io.EOF {
-			continue
-		} else if err != nil {
-			out.Close()
-			return err
-		}
-		heap.Push(h, mergeItem{rec: rec, k: keyOf(header, &rec), src: i})
-	}
-	for h.Len() > 0 {
-		item := heap.Pop(h).(mergeItem)
-		if err := w.Write(&item.rec); err != nil {
-			out.Close()
-			return err
-		}
-		var rec sam.Record
-		err := readers[item.src].ReadInto(&rec)
+		defer r.Close()
+		sc := bam.NewBodyScanner(r)
+		body, err := sc.Next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
-			out.Close()
 			return err
 		}
-		heap.Push(h, mergeItem{rec: rec, k: keyOf(header, &rec), src: item.src})
+		h = append(h, runHead{key: bodyKey(body, s.nRefs), run: i, body: body, sc: sc})
 	}
-	if err := w.Close(); err != nil {
-		out.Close()
-		return err
+	heap.Init(&h)
+	var size [4]byte
+	for len(h) > 0 {
+		top := &h[0]
+		binary.LittleEndian.PutUint32(size[:], uint32(len(top.body)))
+		if err := w.WriteEncoded(size[:]); err != nil {
+			return err
+		}
+		if err := w.WriteEncoded(top.body); err != nil {
+			return err
+		}
+		body, err := top.sc.Next()
+		switch {
+		case err == io.EOF:
+			heap.Pop(&h)
+		case err != nil:
+			return err
+		default:
+			top.body, top.key = body, bodyKey(body, s.nRefs)
+			heap.Fix(&h, 0)
+		}
 	}
-	return out.Close()
+	return nil
 }
