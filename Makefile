@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-conv fuzz-sort fuzz-daemon ci
+.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-baix fuzz-pamx fuzz-conv fuzz-sort fuzz-daemon ci
 
 all: build
 
@@ -90,6 +90,12 @@ fuzz-kern:
 # never panic, and every accepted index must re-serialise byte-for-byte.
 fuzz-index:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadIndex' -fuzztime 10s ./internal/bam
+
+# Short fuzz pass over the BAIX region lookup: arbitrary index bytes and
+# queries must give the whole-buffer decoder's answer or fail with it,
+# never panic or over-allocate.
+fuzz-baix:
+	$(GO) test -run '^$$' -fuzz 'FuzzBAIXRegion' -fuzztime 10s ./internal/bamx
 
 # Short fuzz pass over the PAMX footer decoder: corrupt footers must
 # error, never panic, and every accepted footer must re-encode

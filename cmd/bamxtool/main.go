@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -186,45 +187,52 @@ func runCompress(path string) {
 }
 
 func runRegion(path, regionSpec string) {
-	region, err := parseq.ParseRegion(regionSpec)
-	if err != nil {
+	bw := bufio.NewWriter(os.Stdout)
+	if err := writeRegion(bw, path, regionSpec); err != nil {
 		die(err)
 	}
-	xf, f := open(path)
+	if err := bw.Flush(); err != nil {
+		die(err)
+	}
+}
+
+// writeRegion prints the records of path that start in regionSpec,
+// found through the BAIX beside it (rebuilt by a scan when missing).
+// Nothing is written unless the region query succeeds.
+func writeRegion(w io.Writer, path, regionSpec string) error {
+	region, err := parseq.ParseRegion(regionSpec)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	xf, err := bamx.Open(f, fi.Size())
+	if err != nil {
+		return err
+	}
 	baixPath := strings.TrimSuffix(path, ".bamx") + ".baix"
-	var idx *bamx.Index
-	if ixf, err := os.Open(baixPath); err == nil {
-		idx, err = bamx.ReadIndex(ixf)
-		ixf.Close()
-		if err != nil {
-			die(err)
-		}
-	} else {
-		idx, err = bamx.BuildIndex(xf)
-		if err != nil {
-			die(err)
-		}
+	entries, err := bamx.LookupRegion(baixPath, xf.Header(), region.RName, region.Beg, region.End, xf)
+	if err != nil {
+		return err
 	}
-	refID := xf.Header().RefID(region.RName)
-	if refID < 0 {
-		die(fmt.Errorf("reference %q not in header", region.RName))
-	}
-	beg, end := region.Beg, region.End
-	if beg <= 0 {
-		beg = 1
-	}
-	if end <= 0 {
-		end = 1<<31 - 1
-	}
-	lo, hi := idx.Region(int32(refID), beg, end)
-	fmt.Printf("%s: %d records start in %s\n", path, hi-lo, regionSpec)
+	fmt.Fprintf(w, "%s: %d records start in %s\n", path, len(entries), regionSpec)
 	var rec sam.Record
-	w := io.Writer(os.Stdout)
-	for _, e := range idx.Entries()[lo:hi] {
+	var line []byte
+	for _, e := range entries {
 		if err := xf.ReadRecord(e.Index, &rec); err != nil {
-			die(err)
+			return err
 		}
-		fmt.Fprintln(w, rec.String())
+		line = append(rec.AppendTo(line[:0]), '\n')
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
 	}
+	return nil
 }

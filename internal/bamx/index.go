@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
+	"math"
+	"os"
 	"sort"
+	"sync"
+
+	"parseq/internal/sam"
 )
 
 // baixMagic identifies a BAIX index file.
@@ -77,45 +81,6 @@ func (ix *Index) RefRange(refID int32) (lo, hi int) {
 	return lo, hi
 }
 
-// RegionSpec names one query region for MultiRegion.
-type RegionSpec struct {
-	RefID int32
-	Beg   int32 // 1-based inclusive; Beg == 0 means the reference start
-	End   int32 // 1-based inclusive; End == 0 means the reference end
-}
-
-// MultiRegion resolves several regions at once, merging overlapping or
-// adjacent index ranges. It implements the paper's future-work extension
-// of "more partial conversion types" on the BAIX structure.
-func (ix *Index) MultiRegion(specs []RegionSpec) [][2]int {
-	ranges := make([][2]int, 0, len(specs))
-	for _, s := range specs {
-		beg, end := s.Beg, s.End
-		if beg == 0 {
-			beg = 1
-		}
-		if end == 0 {
-			end = 1<<31 - 1
-		}
-		lo, hi := ix.Region(s.RefID, beg, end)
-		if lo < hi {
-			ranges = append(ranges, [2]int{lo, hi})
-		}
-	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
-	merged := ranges[:0]
-	for _, r := range ranges {
-		if n := len(merged); n > 0 && r[0] <= merged[n-1][1] {
-			if r[1] > merged[n-1][1] {
-				merged[n-1][1] = r[1]
-			}
-		} else {
-			merged = append(merged, r)
-		}
-	}
-	return merged
-}
-
 // WriteTo serialises the index in the BAIX file format: magic, entry
 // count, then 16 bytes per entry.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
@@ -131,63 +96,127 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ReadIndex parses a BAIX file. A reader that can Stat itself (an
-// *os.File) is read in one exact-size read; any other is read to EOF.
+// ReadIndex parses a BAIX file, keeping every entry: it is the region
+// lookup of LookupRegion with a range that admits all of them.
 func ReadIndex(r io.Reader) (*Index, error) {
-	data, err := readIndexBytes(r)
+	entries, err := readEntries(r, 0, math.MaxUint64)
 	if err != nil {
 		return nil, err
-	}
-	if len(data) < len(baixMagic)+8 || string(data[:len(baixMagic)]) != string(baixMagic) {
-		return nil, errors.New("bamx: bad BAIX magic")
-	}
-	count := binary.LittleEndian.Uint64(data[len(baixMagic):])
-	// count is untrusted: bound it by the bytes present before the
-	// proportional allocation (guards both OOM and int overflow).
-	avail := uint64(len(data)-len(baixMagic)-8) / 16
-	if count > avail {
-		return nil, fmt.Errorf("%w: BAIX declares %d entries, data holds %d", ErrCorrupt, count, avail)
-	}
-	entries := make([]Entry, count)
-	off := len(baixMagic) + 8
-	for i := range entries {
-		entries[i] = Entry{
-			RefID: int32(binary.LittleEndian.Uint32(data[off:])),
-			Pos:   int32(binary.LittleEndian.Uint32(data[off+4:])),
-			Index: int64(binary.LittleEndian.Uint64(data[off+8:])),
-		}
-		off += 16
-	}
-	// Trust but verify sortedness; Region depends on it.
-	for i := 1; i < len(entries); i++ {
-		a, b := entries[i-1], entries[i]
-		if a.RefID > b.RefID || (a.RefID == b.RefID && a.Pos > b.Pos) {
-			return nil, fmt.Errorf("%w: BAIX entries out of order at %d", ErrCorrupt, i)
-		}
 	}
 	return &Index{entries: entries}, nil
 }
 
-// readIndexBytes reads a whole BAIX file. Region queries reopen the
-// index on every call, so a file is read into one buffer sized from
-// Stat rather than through io.ReadAll's doubling growth; a file read
-// from a non-zero offset comes back short, as io.ReadAll would.
-func readIndexBytes(r io.Reader) ([]byte, error) {
-	st, ok := r.(interface{ Stat() (fs.FileInfo, error) })
-	if !ok {
-		return io.ReadAll(r)
+// LookupRegion answers one partial-conversion query: the entries of the
+// alignments on reference rname of h that start within [beg, end]
+// (1-based, inclusive; beg <= 0 means the reference start and end <= 0
+// its end), which is what slicing ReadIndex's entries at Index.Region
+// returns. The BAIX file at baixPath streams through a pooled buffer,
+// so a query allocates only for the entries it returns, while every
+// check of ReadIndex still covers the whole file. When that file does
+// not exist, the index is rebuilt by scanning rebuild; a nil rebuild
+// makes the BAIX required.
+func LookupRegion(baixPath string, h *sam.Header, rname string, beg, end int32, rebuild *File) ([]Entry, error) {
+	refID := h.RefID(rname)
+	if refID < 0 {
+		return nil, fmt.Errorf("bamx: region reference %q not in header", rname)
 	}
-	fi, err := st.Stat()
+	lo, hi := regionKeys(int32(refID), beg, end)
+	if baixPath != "" {
+		f, err := os.Open(baixPath)
+		if err == nil {
+			defer f.Close()
+			entries, err := readEntries(f, lo, hi)
+			if err != nil {
+				return nil, fmt.Errorf("reading %s: %w", baixPath, err)
+			}
+			return entries, nil
+		}
+		if !os.IsNotExist(err) || rebuild == nil {
+			return nil, err
+		}
+	}
+	if rebuild == nil {
+		return nil, errors.New("bamx: region query needs a BAIX index")
+	}
+	idx, err := BuildIndex(rebuild)
 	if err != nil {
 		return nil, err
 	}
-	if !fi.Mode().IsRegular() {
-		return io.ReadAll(r)
+	var out []Entry
+	for _, e := range idx.entries {
+		if k := entryKey(e.RefID, e.Pos); k >= lo && k <= hi {
+			out = append(out, e)
+		}
 	}
-	data := make([]byte, fi.Size())
-	n, err := io.ReadFull(r, data)
-	if err == io.ErrUnexpectedEOF {
-		err = nil
+	return out, nil
+}
+
+// regionKeys returns the inclusive key range of a region query, with
+// the defaults for beg and end applied.
+func regionKeys(refID, beg, end int32) (lo, hi uint64) {
+	if beg <= 0 {
+		beg = 1
 	}
-	return data[:n], err
+	if end <= 0 {
+		end = math.MaxInt32
+	}
+	return entryKey(refID, beg), entryKey(refID, end)
+}
+
+// entryKey packs (refID, pos) into one integer with the same order as
+// the signed pair, so the lookup orders and bounds entries with single
+// comparisons.
+func entryKey(refID, pos int32) uint64 {
+	return uint64(uint32(refID)^1<<31)<<32 | uint64(uint32(pos)^1<<31)
+}
+
+// baixReadBytes is the lookup's read size: 4096 entries per read.
+const baixReadBytes = 64 << 10
+
+var baixBufPool = sync.Pool{New: func() any { b := make([]byte, baixReadBytes); return &b }}
+
+// readEntries streams a BAIX file and returns the entries whose keys lie
+// in [loKey, hiKey], decoding no others. It verifies the magic, that the
+// declared count fits the bytes present, and the (RefID, Pos) order of
+// every entry: the order is what makes a BAIX range a region.
+func readEntries(r io.Reader, loKey, hiKey uint64) ([]Entry, error) {
+	bp := baixBufPool.Get().(*[]byte)
+	defer baixBufPool.Put(bp)
+	buf := *bp
+	if _, err := io.ReadFull(r, buf[:len(baixMagic)+8]); err != nil || string(buf[:len(baixMagic)]) != string(baixMagic) {
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, err
+		}
+		return nil, errors.New("bamx: bad BAIX magic")
+	}
+	// count is untrusted: nothing is allocated from it, and a file
+	// holding fewer entries fails at its end.
+	count := binary.LittleEndian.Uint64(buf[len(baixMagic):])
+	var out []Entry
+	var prev uint64
+	for i := uint64(0); i < count; {
+		n := min(count-i, uint64(len(buf)/16))
+		got, err := io.ReadFull(r, buf[:n*16])
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, err
+		}
+		full := uint64(got / 16)
+		for off := 0; off < int(full)*16; off += 16 {
+			e := buf[off : off+16]
+			refID, pos := int32(binary.LittleEndian.Uint32(e)), int32(binary.LittleEndian.Uint32(e[4:]))
+			key := entryKey(refID, pos)
+			if key < prev {
+				return nil, fmt.Errorf("%w: BAIX entries out of order at %d", ErrCorrupt, i)
+			}
+			prev = key
+			if key >= loKey && key <= hiKey {
+				out = append(out, Entry{RefID: refID, Pos: pos, Index: int64(binary.LittleEndian.Uint64(e[8:]))})
+			}
+			i++
+		}
+		if full < n {
+			return nil, fmt.Errorf("%w: BAIX declares %d entries, data holds %d", ErrCorrupt, count, i)
+		}
+	}
+	return out, nil
 }

@@ -28,24 +28,22 @@ const scanChunkBytes = 1 << 20
 
 // Scan returns a Scanner over records [lo, hi).
 func (f *File) Scan(lo, hi int64) *Scanner {
-	if lo < 0 {
-		lo = 0
+	s := &Scanner{f: f, stride: f.caps.Stride()}
+	s.Reset(lo, hi)
+	return s
+}
+
+// Reset retargets the scanner at records [lo, hi), keeping its buffer,
+// so one scanner reads a run of ranges (a region's record runs). The
+// buffer holds the range or ~1 MiB of records, whichever is smaller,
+// and grows only when a later range needs more.
+func (s *Scanner) Reset(lo, hi int64) {
+	lo, hi = max(lo, 0), min(hi, s.f.count)
+	perChunk := max(int64(scanChunkBytes/s.stride), 1)
+	if n := min(hi-lo, perChunk) * int64(s.stride); n > int64(cap(s.buf)) {
+		s.buf = make([]byte, 0, n)
 	}
-	if hi > f.count {
-		hi = f.count
-	}
-	stride := f.caps.Stride()
-	perChunk := scanChunkBytes / stride
-	if perChunk < 1 {
-		perChunk = 1
-	}
-	return &Scanner{
-		f:      f,
-		next:   lo,
-		hi:     hi,
-		stride: stride,
-		buf:    make([]byte, 0, perChunk*stride),
-	}
+	s.next, s.hi, s.buf, s.off, s.err = lo, hi, s.buf[:0], 0, nil
 }
 
 // Next decodes the next record into rec, reporting false at the end of
@@ -84,16 +82,4 @@ func (s *Scanner) Next(rec *sam.Record) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// DecodeInto converts the raw fixed-stride bytes of one record into rec,
-// reusing body as scratch; it returns the (possibly grown) scratch for
-// the next call. It is the allocation-light path for non-contiguous
-// access (region entries).
-func (f *File) DecodeInto(raw, body []byte, rec *sam.Record) ([]byte, error) {
-	body, err := unpadRecord(body[:0], raw, f.caps)
-	if err != nil {
-		return body, err
-	}
-	return body, bam.DecodeRecord(body, rec, f.header)
 }

@@ -105,27 +105,6 @@ func TestScannerCrossesChunkBoundaries(t *testing.T) {
 	}
 }
 
-func TestDecodeIntoReusesBuffer(t *testing.T) {
-	d := dataset(t, 10)
-	f, _ := buildBAMX(t, d)
-	raw := make([]byte, f.Stride())
-	var body []byte
-	var rec sam.Record
-	for i := int64(0); i < 10; i++ {
-		if err := f.ReadRaw(i, raw); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		body, err = f.DecodeInto(raw, body, &rec)
-		if err != nil {
-			t.Fatalf("DecodeInto(%d): %v", i, err)
-		}
-		if rec.String() != d.Records[i].String() {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
 func BenchmarkScannerSweep(b *testing.B) {
 	d := dataset(b, 5000)
 	f, _ := buildBAMX(b, d)
@@ -142,5 +121,37 @@ func BenchmarkScannerSweep(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// TestScannerResetRuns reads several runs through one scanner: its
+// buffer is sized to the run, not to a megabyte, and is reused.
+func TestScannerResetRuns(t *testing.T) {
+	d := dataset(t, 300)
+	f, _ := buildBAMX(t, d)
+	scan := f.Scan(10, 13)
+	if got, want := cap(scan.buf), 3*f.Stride(); got != want {
+		t.Errorf("3-record scan buffers %d bytes, want %d", got, want)
+	}
+	var rec sam.Record
+	for _, run := range [][2]int64{{10, 13}, {200, 202}, {0, 1}, {5, 5}, {290, 300}} {
+		if run != [2]int64{10, 13} {
+			scan.Reset(run[0], run[1])
+		}
+		for i := run[0]; i < run[1]; i++ {
+			ok, err := scan.Next(&rec)
+			if err != nil || !ok {
+				t.Fatalf("run %v: Next(%d) = %v, %v", run, i, ok, err)
+			}
+			if rec.String() != d.Records[i].String() {
+				t.Fatalf("run %v: record %d differs", run, i)
+			}
+		}
+		if ok, _ := scan.Next(&rec); ok {
+			t.Fatalf("run %v: scanner ran past its range", run)
+		}
+	}
+	if got, want := cap(scan.buf), 10*f.Stride(); got != want {
+		t.Errorf("after a 10-record run the buffer is %d bytes, want %d", got, want)
 	}
 }

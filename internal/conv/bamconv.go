@@ -103,40 +103,14 @@ func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 	defer br.Close()
 	ph := obs.NewPhaseSet(obs.Default())
 	csp := ph.Start(0, "convert")
-	w, err := newRankWriter(&opts, enc, br.Header(), 0)
+	stats, err := drainRecords(&opts, enc, br.Header(), 0, br.Next)
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	res.Files = []string{opts.outPath(enc.Extension(), 0)}
-	var out []byte
-	var rec sam.Record
-	for {
-		ok, err := br.Next(&rec)
-		if err != nil {
-			w.close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		res.Stats.Records++
-		var emitted bool
-		out, emitted, err = w.emit(out, &rec, br.Header())
-		if err != nil {
-			w.close()
-			return nil, err
-		}
-		if emitted {
-			res.Stats.Emitted++
-		}
-	}
-	res.Stats.BytesOut = w.n
-	res.Stats.BytesIn = fi.Size()
-	if err := w.close(); err != nil {
-		return nil, err
-	}
 	csp.End()
+	res := Result{Files: []string{opts.outPath(enc.Extension(), 0)}}
+	res.Stats.Records, res.Stats.Emitted = stats.records, stats.emitted
+	res.Stats.BytesIn, res.Stats.BytesOut = fi.Size(), stats.bytesOut
 	res.Stats.ConvertTime = ph.Wall("convert")
 	return &res, nil
 }
@@ -169,53 +143,59 @@ func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return convertFixedStride(bamxPath, baixPath, xf.Header(), xf.NumRecords(), xf.Stride(), xf,
+		&opts, enc, convertBAMXRange)
+}
+
+// rankConverter converts one rank's share of a fixed-stride file, given
+// as runs of consecutive record indices, into that rank's target file.
+type rankConverter func(path string, runs [][2]int64, enc formats.Encoder, opts *Options, rank int) (rangeStats, error)
+
+// convertFixedStride is the partition and parallel phase shared by the
+// BAMX and BAMZ converters. The unit of partitioning is either every
+// one of the file's records, or the BAIX region's entries for partial
+// conversion (with rebuild as the index fallback, see
+// bamx.LookupRegion); each rank takes an equal share of the units.
+func convertFixedStride(path, baixPath string, h *sam.Header, records int64, stride int, rebuild *bamx.File,
+	opts *Options, enc formats.Encoder, convertRange rankConverter) (*Result, error) {
 
 	ph := obs.NewPhaseSet(obs.Default())
 	psp := ph.Start(0, "partition")
-	// The unit of partitioning: either every record, or the BAIX region's
-	// entries for partial conversion.
-	var regionEntries []bamx.Entry
-	useRegion := false
-	if opts.Region != nil {
-		idx, err := loadOrBuildIndex(baixPath, xf)
+	count := int(records)
+	var entries []bamx.Entry
+	if r := opts.Region; r != nil {
+		var err error
+		entries, err = bamx.LookupRegion(baixPath, h, r.RName, r.Beg, r.End, rebuild)
 		if err != nil {
 			return nil, err
 		}
-		refID := xf.Header().RefID(opts.Region.RName)
-		if refID < 0 {
-			return nil, fmt.Errorf("conv: region reference %q not in header", opts.Region.RName)
+		for _, e := range entries {
+			if e.Index < 0 || e.Index >= records {
+				return nil, fmt.Errorf("%w: BAIX entry for record %d, file holds %d", bamx.ErrCorrupt, e.Index, records)
+			}
 		}
-		beg, end := opts.Region.Beg, opts.Region.End
-		if beg <= 0 {
-			beg = 1
-		}
-		if end <= 0 {
-			end = 1<<31 - 1
-		}
-		lo, hi := idx.Region(int32(refID), beg, end)
-		regionEntries = idx.Entries()[lo:hi]
-		useRegion = true
-	}
-	count := int(xf.NumRecords())
-	if useRegion {
-		count = len(regionEntries)
+		count = len(entries)
 	}
 	psp.End()
 
 	var res Result
 	res.Files = make([]string, opts.Cores)
 	var tally counters
-	err = opts.launch()(opts.Cores, func(c *mpi.Comm) error {
+	err := opts.launch()(opts.Cores, func(c *mpi.Comm) error {
 		csp := ph.Start(c.Rank(), "convert")
 		defer csp.End()
 		lo, hi := c.SplitRange(count)
-		stats, err := convertBAMXRange(bamxPath, regionEntries, useRegion, lo, hi, enc, &opts, c.Rank())
+		runs := [][2]int64{{int64(lo), int64(hi)}}
+		if opts.Region != nil {
+			runs = recordRuns(entries[lo:hi])
+		}
+		stats, err := convertRange(path, runs, enc, opts, c.Rank())
 		if err != nil {
 			return err
 		}
 		tally.records.Add(stats.records)
 		tally.emitted.Add(stats.emitted)
-		tally.bytesIn.Add(int64(hi-lo) * int64(xf.Stride()))
+		tally.bytesIn.Add(int64(hi-lo) * int64(stride))
 		tally.bytesOut.Add(stats.bytesOut)
 		res.Files[c.Rank()] = opts.outPath(enc.Extension(), c.Rank())
 		return nil
@@ -227,6 +207,21 @@ func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
 	res.Stats.ConvertTime = ph.Wall("convert")
 	tally.into(&res.Stats)
 	return &res, nil
+}
+
+// recordRuns groups region entries into runs of consecutive record
+// indices. A BAMX preprocessed from a sorted BAM stores its records in
+// BAIX order, so a region is a single run.
+func recordRuns(entries []bamx.Entry) [][2]int64 {
+	var runs [][2]int64
+	for _, e := range entries {
+		if n := len(runs); n > 0 && runs[n-1][1] == e.Index {
+			runs[n-1][1]++
+		} else {
+			runs = append(runs, [2]int64{e.Index, e.Index + 1})
+		}
+	}
+	return runs
 }
 
 // ConvertBAM is the complete BAM format converter of Section III-B:
@@ -258,95 +253,63 @@ func ConvertBAM(bamPath string, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// loadOrBuildIndex reads the BAIX file, falling back to a rebuild scan.
-func loadOrBuildIndex(baixPath string, xf *bamx.File) (*bamx.Index, error) {
-	if baixPath != "" {
-		ixf, err := os.Open(baixPath)
-		if err == nil {
-			defer ixf.Close()
-			return bamx.ReadIndex(ixf)
-		}
-		if !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	return bamx.BuildIndex(xf)
-}
-
-// convertBAMXRange converts records [lo, hi) of the partitioned unit
-// (record indices, or region entries) on one rank.
-func convertBAMXRange(path string, entries []bamx.Entry, useRegion bool,
-	lo, hi int, enc formats.Encoder, opts *Options, rank int) (rangeStats, error) {
-
-	var stats rangeStats
+// convertBAMXRange converts the record runs of one rank, each through
+// one chunked scan: a run costs one read per megabyte, not one per
+// record.
+func convertBAMXRange(path string, runs [][2]int64, enc formats.Encoder, opts *Options, rank int) (rangeStats, error) {
 	// Each rank opens its own descriptor, as each MPI process would.
 	in, err := os.Open(path)
 	if err != nil {
-		return stats, err
+		return rangeStats{}, err
 	}
 	defer in.Close()
 	fi, err := in.Stat()
 	if err != nil {
-		return stats, err
+		return rangeStats{}, err
 	}
 	xf, err := bamx.Open(in, fi.Size())
 	if err != nil {
-		return stats, err
+		return rangeStats{}, err
 	}
+	scan := xf.Scan(0, 0)
+	return drainRecords(opts, enc, xf.Header(), rank, func(rec *sam.Record) (bool, error) {
+		for {
+			if ok, err := scan.Next(rec); ok || err != nil || len(runs) == 0 {
+				return ok, err
+			}
+			scan.Reset(runs[0][0], runs[0][1])
+			runs = runs[1:]
+		}
+	})
+}
 
-	w, err := newRankWriter(opts, enc, xf.Header(), rank)
+// drainRecords converts every record next yields into rank's target
+// file: the rank loop of the record-at-a-time converters.
+func drainRecords(opts *Options, enc formats.Encoder, h *sam.Header, rank int,
+	next func(*sam.Record) (bool, error)) (rangeStats, error) {
+
+	var stats rangeStats
+	w, err := newRankWriter(opts, enc, h, rank)
 	if err != nil {
 		return stats, err
 	}
 	var rec sam.Record
 	var out []byte
-	emit := func() error {
-		stats.records++
-		var emitted bool
-		out, emitted, err = w.emit(out, &rec, xf.Header())
+	for {
+		ok, err := next(&rec)
+		if ok && err == nil {
+			stats.records++
+			var emitted bool
+			if out, emitted, err = w.emit(out, &rec, h); emitted {
+				stats.emitted++
+			}
+		}
 		if err != nil {
-			return err
+			w.close()
+			return stats, err
 		}
-		if emitted {
-			stats.emitted++
-		}
-		return nil
-	}
-	if useRegion {
-		// Region entries may be non-contiguous; random access with
-		// reusable buffers.
-		raw := make([]byte, xf.Stride())
-		var body []byte
-		for i := lo; i < hi; i++ {
-			if err := xf.ReadRaw(entries[i].Index, raw); err != nil {
-				w.close()
-				return stats, err
-			}
-			if body, err = xf.DecodeInto(raw, body, &rec); err != nil {
-				w.close()
-				return stats, err
-			}
-			if err := emit(); err != nil {
-				w.close()
-				return stats, err
-			}
-		}
-	} else {
-		// Contiguous partition: chunked scan, one read per megabyte.
-		scan := xf.Scan(int64(lo), int64(hi))
-		for {
-			ok, err := scan.Next(&rec)
-			if err != nil {
-				w.close()
-				return stats, err
-			}
-			if !ok {
-				break
-			}
-			if err := emit(); err != nil {
-				w.close()
-				return stats, err
-			}
+		if !ok {
+			break
 		}
 	}
 	stats.bytesOut = w.n

@@ -1,13 +1,10 @@
 package conv
 
 import (
-	"fmt"
 	"os"
 
 	"parseq/internal/bamx"
 	"parseq/internal/formats"
-	"parseq/internal/mpi"
-	"parseq/internal/obs"
 	"parseq/internal/sam"
 )
 
@@ -71,97 +68,27 @@ func ConvertBAMZ(bamzPath, baixPath string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	ph := obs.NewPhaseSet(obs.Default())
-	psp := ph.Start(0, "partition")
-	var regionEntries []bamx.Entry
-	useRegion := false
-	if opts.Region != nil {
-		idx, err := loadCompressedIndex(baixPath)
-		if err != nil {
-			return nil, err
-		}
-		refID := zf.Header().RefID(opts.Region.RName)
-		if refID < 0 {
-			return nil, fmt.Errorf("conv: region reference %q not in header", opts.Region.RName)
-		}
-		beg, end := opts.Region.Beg, opts.Region.End
-		if beg <= 0 {
-			beg = 1
-		}
-		if end <= 0 {
-			end = 1<<31 - 1
-		}
-		lo, hi := idx.Region(int32(refID), beg, end)
-		regionEntries = idx.Entries()[lo:hi]
-		useRegion = true
-	}
-	count := int(zf.NumRecords())
-	if useRegion {
-		count = len(regionEntries)
-	}
-	psp.End()
-
-	var res Result
-	res.Files = make([]string, opts.Cores)
-	var tally counters
-	err = opts.launch()(opts.Cores, func(c *mpi.Comm) error {
-		csp := ph.Start(c.Rank(), "convert")
-		defer csp.End()
-		lo, hi := c.SplitRange(count)
-		stats, err := convertBAMZRange(bamzPath, regionEntries, useRegion, lo, hi, enc, &opts, c.Rank())
-		if err != nil {
-			return err
-		}
-		tally.records.Add(stats.records)
-		tally.emitted.Add(stats.emitted)
-		tally.bytesIn.Add(int64(hi-lo) * int64(zf.Caps().Stride()))
-		tally.bytesOut.Add(stats.bytesOut)
-		res.Files[c.Rank()] = opts.outPath(enc.Extension(), c.Rank())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.PartitionTime = ph.Wall("partition")
-	res.Stats.ConvertTime = ph.Wall("convert")
-	tally.into(&res.Stats)
-	return &res, nil
+	// A compressed file cannot be rescanned through the plain-file
+	// path, so partial conversion requires its BAIX.
+	return convertFixedStride(bamzPath, baixPath, zf.Header(), zf.NumRecords(), zf.Caps().Stride(), nil,
+		&opts, enc, convertBAMZRange)
 }
 
-// loadCompressedIndex reads a BAIX file; compressed files cannot fall
-// back to a scan rebuild through the plain-file path, so the index is
-// rebuilt by decoding when missing.
-func loadCompressedIndex(baixPath string) (*bamx.Index, error) {
-	if baixPath == "" {
-		return nil, fmt.Errorf("conv: partial conversion of a compressed BAMX needs its BAIX index")
-	}
-	ixf, err := os.Open(baixPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ixf.Close()
-	return bamx.ReadIndex(ixf)
-}
-
-// convertBAMZRange converts records [lo, hi) of the partitioned unit on
-// one rank, each rank holding its own CompressedFile (and block cache).
-func convertBAMZRange(path string, entries []bamx.Entry, useRegion bool,
-	lo, hi int, enc formats.Encoder, opts *Options, rank int) (rangeStats, error) {
-
-	var stats rangeStats
+// convertBAMZRange converts the record runs of one rank, each rank
+// holding its own CompressedFile (and block cache).
+func convertBAMZRange(path string, runs [][2]int64, enc formats.Encoder, opts *Options, rank int) (rangeStats, error) {
 	in, err := os.Open(path)
 	if err != nil {
-		return stats, err
+		return rangeStats{}, err
 	}
 	defer in.Close()
 	fi, err := in.Stat()
 	if err != nil {
-		return stats, err
+		return rangeStats{}, err
 	}
 	zf, err := bamx.OpenCompressed(in, fi.Size())
 	if err != nil {
-		return stats, err
+		return rangeStats{}, err
 	}
 	if opts.CodecWorkers > 1 {
 		// Inflate ahead of the record loop. The codec worker budget is
@@ -174,33 +101,16 @@ func convertBAMZRange(path string, entries []bamx.Entry, useRegion bool,
 		zf.StartReadahead(per)
 		defer zf.Close()
 	}
-
-	w, err := newRankWriter(opts, enc, zf.Header(), rank)
-	if err != nil {
-		return stats, err
-	}
-	var rec sam.Record
-	var out []byte
-	for i := lo; i < hi; i++ {
-		recIdx := int64(i)
-		if useRegion {
-			recIdx = entries[i].Index
+	var i, end int64
+	return drainRecords(opts, enc, zf.Header(), rank, func(rec *sam.Record) (bool, error) {
+		for i == end {
+			if len(runs) == 0 {
+				return false, nil
+			}
+			i, end = runs[0][0], runs[0][1]
+			runs = runs[1:]
 		}
-		if err := zf.ReadRecord(recIdx, &rec); err != nil {
-			w.close()
-			return stats, err
-		}
-		stats.records++
-		var emitted bool
-		out, emitted, err = w.emit(out, &rec, zf.Header())
-		if err != nil {
-			w.close()
-			return stats, err
-		}
-		if emitted {
-			stats.emitted++
-		}
-	}
-	stats.bytesOut = w.n
-	return stats, w.close()
+		i++
+		return true, zf.ReadRecord(i-1, rec)
+	})
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -232,10 +233,17 @@ func (c *counters) into(s *Stats) {
 }
 
 // writeBufSize is the per-rank write buffer (the paper's "write buffer"
-// between the user program and the target file). One megabyte keeps
-// the write syscall count low enough that the pipelined converter's
-// drain stage is not syscall-bound when batches arrive back to back.
-const writeBufSize = 1 << 20
+// between the user program and the target file). It batches only small
+// writes: records from the record-at-a-time converters and short runs
+// from the pipelined drain, whose runs of this size or more go straight
+// to the file (writeBatch).
+const writeBufSize = 64 << 10
+
+// writerPool recycles the per-rank write buffers across ranks and
+// conversions: a region query touches a few kilobytes of output, and
+// zeroing a fresh buffer for every rank of every call would cost more
+// than the query itself.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, writeBufSize) }}
 
 // rankWriter is one rank's buffered target file.
 type rankWriter struct {
@@ -252,11 +260,13 @@ func newRankWriter(opts *Options, enc formats.Encoder, h *sam.Header, rank int) 
 	if err != nil {
 		return nil, err
 	}
-	w := &rankWriter{f: f, bw: bufio.NewWriterSize(f, writeBufSize), enc: enc}
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(f)
+	w := &rankWriter{f: f, bw: bw, enc: enc}
 	if rank == 0 {
 		if hdr := enc.Header(h); len(hdr) > 0 {
 			if _, err := w.bw.Write(hdr); err != nil {
-				f.Close()
+				w.close()
 				return nil, err
 			}
 			w.n += int64(len(hdr))
@@ -287,7 +297,7 @@ func (w *rankWriter) emit(buf []byte, rec *sam.Record, h *sam.Header) ([]byte, b
 // would memmove the entire output once for nothing — while small runs
 // keep the buffer's syscall batching.
 func (w *rankWriter) writeBatch(p []byte) error {
-	if len(p) < 64<<10 {
+	if len(p) < writeBufSize {
 		if _, err := w.bw.Write(p); err != nil {
 			return err
 		}
@@ -304,10 +314,20 @@ func (w *rankWriter) writeBatch(p []byte) error {
 	return nil
 }
 
+// close flushes and closes the target file and hands the write buffer
+// back to the pool. A second close is refused: the buffer may already
+// belong to another rank.
 func (w *rankWriter) close() error {
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return err
+	bw := w.bw
+	if bw == nil {
+		return os.ErrClosed
 	}
-	return w.f.Close()
+	w.bw = nil
+	err := bw.Flush()
+	bw.Reset(nil)
+	writerPool.Put(bw)
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -2,12 +2,18 @@ package conv
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"parseq/internal/bamx"
 	"parseq/internal/formats"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
@@ -219,52 +225,288 @@ func TestPreprocessAndConvertBAMX(t *testing.T) {
 	}
 }
 
-func TestConvertBAMXPartial(t *testing.T) {
-	_, bamPath, d := writeDataset(t, 600)
-	dir := t.TempDir()
-	bamxPath := filepath.Join(dir, "in.bamx")
-	baixPath := filepath.Join(dir, "in.baix")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
-		t.Fatal(err)
+// regionDataset is a sorted dataset whose header also names a
+// reference, between chr1 and chr2, that no record lies on.
+func regionDataset(n int) *simdata.Dataset {
+	d := simdata.Generate(simdata.DefaultConfig(n))
+	refs := []sam.Reference{d.Header.Refs[0], {Name: "chrEmpty", Length: 5000}}
+	refs = append(refs, d.Header.Refs[1:]...)
+	h := sam.NewHeader(refs...)
+	h.Version, h.SortOrder, h.ReadGroups = d.Header.Version, d.Header.SortOrder, d.Header.ReadGroups
+	h.Programs, h.Comments = d.Header.Programs, d.Header.Comments
+	d.Header = h
+	return d
+}
+
+// regionOracle is the independent reference for partial conversion:
+// the dataset's records that start within the region (with the
+// defaults of a zero Beg or End), stable-sorted by position and
+// encoded after the SAM header.
+func regionOracle(t *testing.T, d *simdata.Dataset, r Region) (string, int) {
+	t.Helper()
+	beg, end := r.Beg, r.End
+	if beg <= 0 {
+		beg = 1
 	}
-	region := Region{RName: "chr1", Beg: 1, End: 100000}
-	res, err := ConvertBAMX(bamxPath, baixPath, Options{
-		Format: "sam", Cores: 3, OutDir: t.TempDir(), OutPrefix: "t",
-		Region: &region,
-	})
-	if err != nil {
-		t.Fatalf("partial ConvertBAMX: %v", err)
+	if end <= 0 {
+		end = 1<<31 - 1
 	}
-	got := concatFiles(t, res.Files)
-	// Reference: records starting within the region, in BAIX (position)
-	// order, prefixed by the SAM header.
-	enc, _ := formats.New("sam")
-	var want []byte
-	want = append(want, enc.Header(d.Header)...)
 	var selected []sam.Record
-	for i := range d.Records {
-		r := d.Records[i]
-		if !r.Unmapped() && r.RName == region.RName && r.Pos >= region.Beg && r.Pos <= region.End {
-			selected = append(selected, r)
+	for _, rec := range d.Records {
+		if !rec.Unmapped() && rec.RName == r.RName && rec.Pos >= beg && rec.Pos <= end {
+			selected = append(selected, rec)
 		}
 	}
 	sort.SliceStable(selected, func(i, j int) bool { return selected[i].Pos < selected[j].Pos })
+	enc, _ := formats.New("sam")
+	want := enc.Header(d.Header)
 	for i := range selected {
 		var err error
-		want, err = enc.Encode(want, &selected[i], d.Header)
-		if err != nil {
+		if want, err = enc.Encode(want, &selected[i], d.Header); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(selected) == 0 {
-		t.Fatal("test region selected no records; enlarge it")
+	return string(want), len(selected)
+}
+
+// regionFixture preprocesses a dataset into BAMX, BAIX and BAMZ files.
+func regionFixture(t *testing.T, d *simdata.Dataset) (bamxPath, bamzPath, baixPath string) {
+	t.Helper()
+	dir := t.TempDir()
+	bamPath := filepath.Join(dir, "in.bam")
+	bf, err := os.Create(bamPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("partial conversion differs: got %d bytes, want %d (%d records)",
-			len(got), len(want), len(selected))
+	if err := d.WriteBAM(bf); err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Records != int64(len(selected)) {
-		t.Errorf("Records = %d, want %d", res.Stats.Records, len(selected))
+	bf.Close()
+	bamxPath = filepath.Join(dir, "in.bamx")
+	bamzPath = filepath.Join(dir, "in.bamz")
+	baixPath = filepath.Join(dir, "in.baix")
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompressBAMXFile(bamxPath, bamzPath, 64); err != nil {
+		t.Fatal(err)
+	}
+	return bamxPath, bamzPath, baixPath
+}
+
+// TestConvertBAMXPartial sweeps partial conversion through both
+// fixed-stride converters, every rank count from 1 to 4, with the BAIX
+// and without it, against the independent oracle. A compressed file
+// cannot rebuild a missing BAIX, so there the query must fail cleanly.
+func TestConvertBAMXPartial(t *testing.T) {
+	d := regionDataset(600)
+	bamxPath, bamzPath, baixPath := regionFixture(t, d)
+	var onRef []sam.Record // chr1's records, in position order
+	lastRef := d.Header.Refs[len(d.Header.Refs)-1].Name
+	lastRefRecords := 0
+	for _, rec := range d.Records {
+		if !rec.Unmapped() && rec.RName == "chr1" {
+			onRef = append(onRef, rec)
+		}
+		if rec.RName == lastRef {
+			lastRefRecords++
+		}
+	}
+	if len(onRef) < 3 || lastRefRecords == 0 {
+		t.Fatalf("dataset too small: %d records on chr1, %d on %s", len(onRef), lastRefRecords, lastRef)
+	}
+	mid, last := onRef[len(onRef)/2].Pos, onRef[len(onRef)-1].Pos
+	regions := map[string]Region{
+		"empty":          {RName: "chr1", Beg: last + 1, End: last + 1},
+		"single-base":    {RName: "chr1", Beg: mid, End: mid},
+		"last-record":    {RName: "chr1", Beg: last, End: last},
+		"whole-ref":      {RName: "chr1", Beg: 1},
+		"ref-no-records": {RName: "chrEmpty"},
+		"last-ref":       {RName: lastRef, Beg: 1},
+		"span":           {RName: "chr1", Beg: 1, End: mid},
+	}
+	converters := map[string]struct {
+		path    string
+		convert func(string, string, Options) (*Result, error)
+		rebuild bool // a missing BAIX is rebuilt rather than an error
+	}{
+		"bamx": {bamxPath, ConvertBAMX, true},
+		"bamz": {bamzPath, ConvertBAMZ, false},
+	}
+	for cname, cv := range converters {
+		for _, withBAIX := range []bool{true, false} {
+			ix := baixPath
+			if !withBAIX {
+				ix = filepath.Join(filepath.Dir(baixPath), "missing.baix")
+			}
+			for rname, region := range regions {
+				want, n := regionOracle(t, d, region)
+				for cores := 1; cores <= 4; cores++ {
+					name := fmt.Sprintf("%s/baix=%v/%s/cores=%d", cname, withBAIX, rname, cores)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						out := t.TempDir()
+						res, err := cv.convert(cv.path, ix, Options{
+							Format: "sam", Cores: cores, OutDir: out, OutPrefix: "t", Region: &region,
+						})
+						if !withBAIX && !cv.rebuild {
+							if err == nil {
+								t.Fatal("partial conversion without its BAIX succeeded")
+							}
+							assertNoOutput(t, out)
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := concatFiles(t, res.Files); got != want {
+							t.Errorf("partial conversion differs: got %d bytes, want %d (%d records)", len(got), len(want), n)
+						}
+						if res.Stats.Records != int64(n) {
+							t.Errorf("Records = %d, want %d", res.Stats.Records, n)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// assertNoOutput fails unless dir is empty.
+func assertNoOutput(t *testing.T, dir string) {
+	t.Helper()
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("failed conversion left output in %s: %v (%v)", dir, ents, err)
+	}
+}
+
+// corruptBAIX writes the corrupt variants of a valid BAIX: bad magic, a
+// count larger than the data, one entry moved out of order, and one
+// pointing past the last record.
+func corruptBAIX(t *testing.T, baixPath string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(baixPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 5 + 8
+	if len(raw) < hdr+3*16 {
+		t.Fatalf("BAIX of %d bytes is too small to corrupt", len(raw))
+	}
+	variants := map[string][]byte{}
+	magic := bytes.Clone(raw)
+	magic[0] = 'X'
+	variants["magic"] = magic
+	count := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(count[5:], uint64((len(raw)-hdr)/16+1))
+	variants["count"] = count
+	order := bytes.Clone(raw)
+	// Give the second entry the reference ID of the last one.
+	copy(order[hdr+16:hdr+20], raw[len(raw)-16:len(raw)-12])
+	variants["order"] = order
+	index := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(index[hdr+8:], 1<<40) // chr1's first record
+	variants["index"] = index
+	paths := map[string]string{}
+	for name, data := range variants {
+		p := filepath.Join(t.TempDir(), name+".baix")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths[name] = p
+	}
+	return paths
+}
+
+// waitGoroutines fails unless the goroutine count returns to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines, want at most %d", runtime.NumGoroutine(), base)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPartialConversionRejectsCorruptBAIX drives each corrupt BAIX
+// through both converters: every query must fail with a typed error,
+// write nothing and leave no goroutine behind.
+func TestPartialConversionRejectsCorruptBAIX(t *testing.T) {
+	d := regionDataset(300)
+	bamxPath, bamzPath, baixPath := regionFixture(t, d)
+	converters := map[string]struct {
+		path    string
+		convert func(string, string, Options) (*Result, error)
+	}{
+		"bamx": {bamxPath, ConvertBAMX},
+		"bamz": {bamzPath, ConvertBAMZ},
+	}
+	for name, bad := range corruptBAIX(t, baixPath) {
+		for cname, cv := range converters {
+			for _, cores := range []int{1, 3} {
+				base := runtime.NumGoroutine()
+				out := t.TempDir()
+				_, err := cv.convert(cv.path, bad, Options{
+					Format: "sam", Cores: cores, OutDir: out, OutPrefix: "t",
+					Region: &Region{RName: "chr1", Beg: 1},
+				})
+				switch {
+				case err == nil:
+					t.Errorf("%s/%s cores=%d: corrupt BAIX accepted", cname, name, cores)
+				case name == "magic" && !strings.Contains(err.Error(), "magic"):
+					t.Errorf("%s/%s: error %q does not report the bad magic", cname, name, err)
+				case name != "magic" && !errors.Is(err, bamx.ErrCorrupt):
+					t.Errorf("%s/%s: error %q does not wrap bamx.ErrCorrupt", cname, name, err)
+				}
+				assertNoOutput(t, out)
+				waitGoroutines(t, base)
+			}
+		}
+	}
+}
+
+// TestRegionQueryAllocsBelowIndexSize holds a region query to the size
+// of its answer: converting a tiny region of a 60k-record BAMX must
+// allocate far less than its BAIX holds, so nothing in the lookup or
+// the rank write path scales with the index.
+func TestRegionQueryAllocsBelowIndexSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool discard pooled write buffers")
+	}
+	bamxPath, _, baixPath := regionFixture(t, simdata.Generate(simdata.DefaultConfig(60000)))
+	fi, err := os.Stat(baixPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries := (fi.Size() - 13) / 16; entries < 50000 {
+		t.Fatalf("BAIX holds %d entries, want at least 50000", entries)
+	}
+	opts := Options{Format: "sam", Cores: 2, OutDir: t.TempDir(), OutPrefix: "r",
+		Region: &Region{RName: "chr1", Beg: 1, End: 2000}}
+	query := func() {
+		res, err := ConvertBAMX(bamxPath, baixPath, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Records == 0 {
+			t.Fatal("region selected no records")
+		}
+	}
+	query() // warm the buffer pools
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per region query; BAIX is %d bytes", perQuery, fi.Size())
+	if limit := fi.Size() / 4; perQuery > limit {
+		t.Errorf("region query allocates %d bytes; want at most %d (a quarter of the BAIX)", perQuery, limit)
 	}
 }
 

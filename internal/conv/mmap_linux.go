@@ -30,3 +30,8 @@ func mmapFile(f *os.File) ([]byte, func(), error) {
 	_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
 	return data, func() { _ = syscall.Munmap(data) }, nil
 }
+
+// dropPages gives page-aligned mapped memory back to the kernel. The
+// file pages stay in the page cache, and a later touch faults them back
+// in, so dropping is always safe.
+func dropPages(b []byte) { _ = syscall.Madvise(b, syscall.MADV_DONTNEED) }

@@ -12,3 +12,6 @@ import (
 func mmapFile(f *os.File) ([]byte, func(), error) {
 	return nil, nil, errors.New("conv: mmap not supported on this platform")
 }
+
+// dropPages is never reached off Linux, where nothing is mapped.
+func dropPages([]byte) {}

@@ -99,11 +99,23 @@ type batchSource interface {
 
 // mappedCutter cuts a memory-mapped partition: batches are plain
 // subslices of the mapping ended at line boundaries — no reads, no
-// copies, nothing to release.
+// copies. Releasing a batch drops the mapping's pages behind it.
 type mappedCutter struct {
-	data []byte
-	off  int
-	base int64 // absolute file offset of data[0]
+	mapped  []byte // the whole file's mapping
+	data    []byte // the partition: mapped[base:end]
+	off     int
+	base    int64 // absolute file offset of data[0]
+	drained int   // bytes of data released so far
+	dropped int   // mapped[:dropped] is given back to the kernel
+}
+
+func newMappedCutter(mapped []byte, br partition.ByteRange) *mappedCutter {
+	return &mappedCutter{
+		mapped:  mapped,
+		data:    mapped[br.Start:br.End],
+		base:    br.Start,
+		dropped: int(br.Start) &^ (os.Getpagesize() - 1),
+	}
 }
 
 func (m *mappedCutter) next() ([]byte, int64, error) {
@@ -128,7 +140,18 @@ func (m *mappedCutter) next() ([]byte, int64, error) {
 	return m.data[off:end], m.base + int64(off), nil
 }
 
-func (m *mappedCutter) release([]byte) {}
+// release drops the whole pages before the end of a drained batch from
+// the process, so a mapped SAM does not stay resident until the rank
+// unmaps it. Batches drain in cut order, so everything before the
+// batch's end is done with; a page the next batch shares is kept.
+func (m *mappedCutter) release(chunk []byte) {
+	m.drained += len(chunk)
+	end := (int(m.base) + m.drained) &^ (os.Getpagesize() - 1)
+	if end > m.dropped {
+		dropPages(m.mapped[m.dropped:end])
+		m.dropped = end
+	}
+}
 
 // batchScanner is the streamed fallback: it reads pooled chunks of
 // whole lines. The partial line at a chunk's end is copied into a
@@ -255,7 +278,7 @@ func runSAMRange(samPath string, br partition.ByteRange, workers int, name strin
 		// The mapping must outlive every batch: all are drained before
 		// this function returns.
 		defer unmap()
-		src = &mappedCutter{data: mapped[br.Start:br.End], base: br.Start}
+		src = newMappedCutter(mapped, br)
 	} else {
 		src = &batchScanner{r: io.NewSectionReader(in, br.Start, br.Len()), off: br.Start}
 	}
